@@ -13,7 +13,7 @@
 //! The companion test proves the knob is *live*: a non-Reno controller
 //! on the same cell must produce a different trace.
 
-use hack_core::{run_traced, CcKind, HackMode, ScenarioBuilder};
+use hack_core::{run_traced, CcKind, CorruptModel, HackMode, ScenarioBuilder};
 use hack_sim::SimDuration;
 use hack_trace::TraceHandle;
 
@@ -85,4 +85,39 @@ fn non_reno_controllers_change_the_trace() {
     let bbr = cell(scenario, mode, seed, CcKind::Bbr);
     assert_ne!(bbr, pin, "CcKind::Bbr produced the Reno trace — knob dead?");
     assert_ne!(bbr, cubic);
+}
+
+/// Digest of the 1.5 s trace of a three-client 802.11n HACK `MoreData`
+/// cell under corrupted delivery, seed 1.
+const OVERHEAR_PIN: &str = "4854524401003459000000000000f6cc51f160f57f805d07000000000000ff09000000000000a7070000000000002e400000000000000300000000000000";
+
+/// Every client overhears the other clients' Block ACKs, and with
+/// `fcs_miss > 0` some of those arrive FCS-escaping-corrupt while
+/// carrying a HACK blob. The overhearer never parses the blob, but the
+/// bit flip modelled for it still draws from the world RNG in receiver
+/// order. This pin fixes that draw sequence: skipping or reordering an
+/// overhearer's draw moves every later RNG-driven event.
+#[test]
+fn overhearers_of_corrupted_blobs_keep_the_rng_sequence() {
+    let mut cfg = ScenarioBuilder::dot11n_download(150, 3, HackMode::MoreData).build();
+    cfg.duration = SimDuration::from_millis(1500);
+    cfg.seed = 1;
+    cfg.corrupt = Some(CorruptModel {
+        data_frac: 0.5,
+        control_per: 0.02,
+        fcs_miss: 0.25,
+    });
+    let (handle, ring) = TraceHandle::ring(1 << 20);
+    let r = run_traced(cfg, handle);
+    assert!(
+        r.decompressor.crc_failures > 0,
+        "no FCS-escaping blob corruption reached the decompressor"
+    );
+    let got: String = ring
+        .digest()
+        .to_bytes()
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    assert_eq!(got, OVERHEAR_PIN, "overhearer RNG draw sequence drifted");
 }
