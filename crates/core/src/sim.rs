@@ -17,8 +17,8 @@
 use std::collections::{HashMap, VecDeque};
 
 use hack_mac::{
-    Action, AssocMachine, AssocState, AssocStep, Frame, HackBlob, MacConfig, Station, TimerKind,
-    TxDescriptor,
+    Action, AssocMachine, AssocState, AssocStep, Frame, HackBlob, MacConfig, OverheardPpdu,
+    Station, TimerKind, TxDescriptor,
 };
 use hack_phy::{
     BssPlacement, Channel, InterferenceGraph, LossModel, Medium, MpduStatus, PhyRate, PpduMeta,
@@ -473,6 +473,9 @@ pub struct World {
     /// Scratch for the idle-edge sweep in `on_tx_end` (avoids a per-PPDU
     /// allocation).
     idle_buf: Vec<StationId>,
+    /// Reusable MAC action buffers: a stack, because `apply` re-enters
+    /// itself through `start_tx`'s carrier-sense loop.
+    action_bufs: Vec<Vec<Action<NetPacket>>>,
     trace: TraceHandle,
 }
 
@@ -953,6 +956,7 @@ impl World {
             completion: None,
             roam: None,
             idle_buf: Vec::new(),
+            action_bufs: Vec::new(),
             trace,
             layout,
             cfg,
@@ -1118,8 +1122,7 @@ impl World {
                         && kind == TimerKind::AckTimeout)
                         .then(|| self.stations[sid.0 as usize].awaiting_response_from())
                         .flatten();
-                    let acts = self.stations[sid.0 as usize].on_timer(kind, now);
-                    self.apply(sid, acts, now);
+                    self.mac(sid, now, |st, out| st.on_timer(kind, now, out));
                     if let Some(peer) = timed_out_peer {
                         if let Some(flow) = self.sup_flow(sid, peer) {
                             self.sup_signal(flow, HealthSignal::LlAckTimeout, now);
@@ -1948,68 +1951,99 @@ impl World {
     }
 
     fn on_tx_end(&mut self, id: TxId, now: SimTime) {
-        let (mut frames, aggregated, src) = self.tx_payloads.remove(&id).expect("tx payload");
+        let (frames, aggregated, src) = self.tx_payloads.remove(&id).expect("tx payload");
         let outcome = self.medium.end_tx(id, now, &mut self.rng);
 
-        // 1) Receptions (before idle edges: NAV first). The last detected
-        // receiver takes ownership of the frame batch; earlier ones clone.
-        // In the common unicast case this turns every delivered MPDU's
-        // deep copy (packet + TCP options) into a move.
-        let last_detected = outcome.receptions.iter().rposition(|r| r.detected);
-        for (ri, rec) in outcome.receptions.iter().enumerate() {
+        // 1) Receptions (before idle edges: NAV first). The addressee
+        // takes the frame batch by move; every other detected listener
+        // gets the per-PPDU summary, which is all virtual carrier sense
+        // needs. A blob only rides a single-frame response, so
+        // `blob_bits` stands in for the frames once they have moved.
+        let dst = frames[0].dst();
+        let heard = OverheardPpdu::of(&frames, aggregated);
+        let blob_bits = match &frames[0] {
+            Frame::Ack { hack: Some(b), .. } | Frame::BlockAck { hack: Some(b), .. } => {
+                debug_assert_eq!(frames.len(), 1, "a blob rides a single-frame response");
+                b.bytes.len() as u32 * 8
+            }
+            _ => 0,
+        };
+        let mut frames = Some(frames);
+        for rec in &outcome.receptions {
             let sid = rec.station;
-            if rec.detected {
-                let mut decoded: Vec<Frame<NetPacket>> = Vec::with_capacity(rec.mpdus.len());
-                let mut fcs_bad = 0u32;
-                let status_of = |mpdus: &[MpduStatus], i: usize| {
-                    mpdus.get(i).copied().unwrap_or(MpduStatus::Lost)
-                };
-                if Some(ri) == last_detected {
-                    for (i, f) in std::mem::take(&mut frames).into_iter().enumerate() {
-                        match status_of(&rec.mpdus, i) {
-                            MpduStatus::Ok => decoded.push(f),
-                            MpduStatus::Lost => {}
-                            MpduStatus::Corrupt { fcs_ok: false } => fcs_bad += 1,
-                            // The flip escaped the FCS region: deliver the
-                            // frame with one bit flipped in its blob
-                            // extension (or unchanged when there is no blob
-                            // — the flip landed in padding).
-                            MpduStatus::Corrupt { fcs_ok: true } => {
-                                decoded.push(self.corrupt_frame(f));
-                            }
+            if !rec.detected {
+                self.stations[sid.0 as usize].on_rx_garbage(now);
+                continue;
+            }
+            let statuses = outcome.mpdus(rec);
+            let mut fcs_bad = 0u32;
+            let mut decoded = None;
+            let mut mpdus_ok = 0u32;
+            if sid == dst {
+                let mut batch = frames.take().expect("one addressee per PPDU");
+                let mut i = 0;
+                batch.retain_mut(|f| {
+                    let st = statuses.get(i).copied().unwrap_or(MpduStatus::Lost);
+                    i += 1;
+                    match st {
+                        MpduStatus::Ok => true,
+                        MpduStatus::Lost => false,
+                        MpduStatus::Corrupt { fcs_ok: false } => {
+                            fcs_bad += 1;
+                            false
+                        }
+                        // The flip escaped the FCS region: deliver the
+                        // frame with one bit flipped in its blob extension
+                        // (or unchanged when there is no blob — the flip
+                        // landed in padding).
+                        MpduStatus::Corrupt { fcs_ok: true } => {
+                            flip_blob_bit(&mut self.rng, f);
+                            true
                         }
                     }
-                } else {
-                    for (i, f) in frames.iter().enumerate() {
-                        match status_of(&rec.mpdus, i) {
-                            MpduStatus::Ok => decoded.push(f.clone()),
-                            MpduStatus::Lost => {}
-                            MpduStatus::Corrupt { fcs_ok: false } => fcs_bad += 1,
-                            MpduStatus::Corrupt { fcs_ok: true } => {
-                                decoded.push(self.corrupt_frame(f.clone()));
-                            }
-                        }
-                    }
-                }
-                if fcs_bad > 0 {
-                    let acts = self.stations[sid.0 as usize].on_rx_corrupt(src, fcs_bad, now);
-                    self.apply(sid, acts, now);
-                    if !self.supervisors.is_empty() {
-                        if let Some(flow) = self.sup_flow(sid, src) {
-                            self.sup_signal(flow, HealthSignal::FcsBad, now);
-                        }
-                    }
-                }
-                if !decoded.is_empty() {
-                    let acts = self.stations[sid.0 as usize].on_rx_ppdu(decoded, aggregated, now);
-                    self.apply(sid, acts, now);
-                } else if fcs_bad == 0 {
-                    let acts = self.stations[sid.0 as usize].on_rx_garbage(now);
-                    self.apply(sid, acts, now);
-                }
+                });
+                mpdus_ok = batch.len() as u32;
+                decoded = Some(batch);
             } else {
-                let acts = self.stations[sid.0 as usize].on_rx_garbage(now);
-                self.apply(sid, acts, now);
+                for &st in statuses {
+                    match st {
+                        MpduStatus::Ok => mpdus_ok += 1,
+                        MpduStatus::Lost => {}
+                        MpduStatus::Corrupt { fcs_ok: false } => fcs_bad += 1,
+                        // The overhearer ignores the blob, but the flip
+                        // still draws its bit, in receiver order, exactly
+                        // as for a decoded copy.
+                        MpduStatus::Corrupt { fcs_ok: true } => {
+                            if blob_bits > 0 {
+                                self.rng.uniform(blob_bits);
+                            }
+                            mpdus_ok += 1;
+                        }
+                    }
+                }
+            }
+            if fcs_bad > 0 {
+                self.stations[sid.0 as usize].on_rx_corrupt(src, fcs_bad, now);
+                if !self.supervisors.is_empty() {
+                    if let Some(flow) = self.sup_flow(sid, src) {
+                        self.sup_signal(flow, HealthSignal::FcsBad, now);
+                    }
+                }
+            }
+            if mpdus_ok > 0 {
+                match decoded {
+                    Some(batch) => {
+                        self.mac(sid, now, |st, out| {
+                            st.on_rx_ppdu(batch, aggregated, now, out)
+                        });
+                    }
+                    None => {
+                        let ppdu = OverheardPpdu { mpdus_ok, ..heard };
+                        self.mac(sid, now, |st, out| st.on_overheard(ppdu, now, out));
+                    }
+                }
+            } else if fcs_bad == 0 {
+                self.stations[sid.0 as usize].on_rx_garbage(now);
             }
         }
 
@@ -2030,36 +2064,31 @@ impl World {
                 .filter(|&s| !self.medium.busy_for(s)),
         );
         for &sid in &idle {
-            let acts = self.stations[sid.0 as usize].on_channel_idle(now);
-            self.apply(sid, acts, now);
+            self.mac(sid, now, |st, out| st.on_channel_idle(now, out));
         }
         self.idle_buf = idle;
 
         // 3) Transmitter bookkeeping.
-        let acts = self.stations[src.0 as usize].on_tx_end(now);
-        self.apply(src, acts, now);
+        self.mac(src, now, |st, out| st.on_tx_end(now, out));
     }
 
-    /// Flip one deterministic-RNG-chosen bit in the frame's HACK blob
-    /// extension, modelling a corruption the FCS check cannot see. Frames
-    /// without a blob pass through unchanged (the flip hit padding).
-    fn corrupt_frame(&mut self, mut f: Frame<NetPacket>) -> Frame<NetPacket> {
-        let blob = match &mut f {
-            Frame::Ack { hack, .. } | Frame::BlockAck { hack, .. } => hack.as_mut(),
-            _ => None,
-        };
-        if let Some(b) = blob {
-            if !b.bytes.is_empty() {
-                let bit = self.rng.uniform(b.bytes.len() as u32 * 8);
-                b.bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
-            }
-        }
-        f
+    /// Run one callback of station `sid`'s MAC with a pooled action
+    /// buffer, then materialize what it asked for.
+    fn mac(
+        &mut self,
+        sid: StationId,
+        now: SimTime,
+        f: impl FnOnce(&mut Station<NetPacket>, &mut Vec<Action<NetPacket>>),
+    ) {
+        let mut actions = self.action_bufs.pop().unwrap_or_default();
+        f(&mut self.stations[sid.0 as usize], &mut actions);
+        self.apply(sid, &mut actions, now);
+        self.action_bufs.push(actions);
     }
 
-    /// Materialize MAC actions for station `sid`.
-    fn apply(&mut self, sid: StationId, actions: Vec<Action<NetPacket>>, now: SimTime) {
-        for act in actions {
+    /// Materialize (and drain) MAC actions for station `sid`.
+    fn apply(&mut self, sid: StationId, actions: &mut Vec<Action<NetPacket>>, now: SimTime) {
+        for act in actions.drain(..) {
             match act {
                 Action::StartTx(desc) => self.start_tx(sid, desc, now),
                 Action::SetTimer { kind, at } => {
@@ -2223,8 +2252,7 @@ impl World {
         for i in 0..self.medium.listeners(d).len() {
             let other = self.medium.listeners(d)[i];
             if other != sid {
-                let acts = self.stations[other.0 as usize].on_channel_busy(now);
-                self.apply(other, acts, now);
+                self.mac(other, now, |st, out| st.on_channel_busy(now, out));
             }
         }
     }
@@ -2239,8 +2267,9 @@ impl World {
         for d in dacts {
             match d {
                 DriverAction::SendNative(pkt) => {
-                    let acts = self.stations[sid.0 as usize].enqueue(peer, NetPacket(pkt), now);
-                    self.apply(sid, acts, now);
+                    self.mac(sid, now, |st, out| {
+                        st.enqueue(peer, NetPacket(pkt), now, out)
+                    });
                 }
                 DriverAction::InstallBlob { bytes, generation } => {
                     self.sched.schedule_at(
@@ -2551,8 +2580,9 @@ impl World {
             self.apply_driver(sid, peer, dacts, now);
             self.drain_driver_health(sid, peer, now);
         } else {
-            let acts = self.stations[sid.0 as usize].enqueue(peer, NetPacket(pkt), now);
-            self.apply(sid, acts, now);
+            self.mac(sid, now, |st, out| {
+                st.enqueue(peer, NetPacket(pkt), now, out)
+            });
         }
     }
 
@@ -2576,8 +2606,9 @@ impl World {
             self.ap_queue_drops += 1;
             return;
         }
-        let acts = self.stations[ap.0 as usize].enqueue(client, NetPacket(pkt), now);
-        self.apply(ap, acts, now);
+        self.mac(ap, now, |st, out| {
+            st.enqueue(client, NetPacket(pkt), now, out)
+        });
     }
 
     // ------------------------------------------------------------------
@@ -2619,8 +2650,9 @@ impl World {
                     payload_len: 1472,
                 },
             };
-            let acts = self.stations[ap.0 as usize].enqueue(client, NetPacket(pkt), now);
-            self.apply(ap, acts, now);
+            self.mac(ap, now, |st, out| {
+                st.enqueue(client, NetPacket(pkt), now, out)
+            });
         }
     }
 
@@ -2888,6 +2920,18 @@ impl World {
                 .collect(),
             flow_goodput_final_mbps,
             roams: self.roam.as_ref().map_or(0, |r| r.roams),
+        }
+    }
+}
+
+/// Flip one deterministic-RNG-chosen bit in the frame's HACK blob
+/// extension, modelling a corruption the FCS check cannot see. Frames
+/// without a blob pass through unchanged (the flip hit padding).
+fn flip_blob_bit(rng: &mut SimRng, f: &mut Frame<NetPacket>) {
+    if let Frame::Ack { hack: Some(b), .. } | Frame::BlockAck { hack: Some(b), .. } = f {
+        if !b.bytes.is_empty() {
+            let bit = rng.uniform(b.bytes.len() as u32 * 8);
+            b.bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
         }
     }
 }

@@ -1,9 +1,11 @@
 //! Outputs of the sans-IO MAC state machine.
 //!
-//! [`crate::station::Station`] never performs IO: every handler returns a
-//! `Vec<Action<M>>` that the event loop in `hack-core` materializes —
-//! starting transmissions on the medium, arming timers, delivering MSDUs
-//! upward, and feeding the HACK drivers their indications.
+//! [`crate::station::Station`] never performs IO: every handler appends
+//! [`Action`]s to a caller-supplied `Vec<Action<M>>`, which the event
+//! loop in `hack-core` materializes — starting transmissions on the
+//! medium, arming timers, delivering MSDUs upward, and feeding the HACK
+//! drivers their indications. The caller owns the buffer, so it can
+//! reuse one allocation across every callback.
 
 use hack_phy::{PhyRate, StationId};
 use hack_sim::{SimDuration, SimTime};
@@ -71,6 +73,37 @@ pub struct RxDataInfo {
     /// Whether this PPDU was an aggregate (Block-ACK exchange) or a
     /// single MPDU (plain-ACK exchange).
     pub is_aggregate: bool,
+}
+
+/// What a station learns from a PPDU addressed to someone else: enough
+/// for virtual carrier sense, and nothing it would have to copy. One
+/// summary serves every overhearer of the PPDU; only `mpdus_ok` is
+/// per listener.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OverheardPpdu {
+    /// The PPDU carries data or a Block ACK Request, so it reserves the
+    /// medium for its SIFS response (NAV).
+    pub needs_nav: bool,
+    /// That response is a Block ACK (the PPDU is an A-MPDU or a BAR)
+    /// rather than a plain ACK.
+    pub block_ack_response: bool,
+    /// MPDUs this listener decoded (at least one).
+    pub mpdus_ok: u32,
+}
+
+impl OverheardPpdu {
+    /// The summary of a PPDU carrying `frames` (`aggregated`: sent as an
+    /// A-MPDU), with `mpdus_ok` still to be filled in per listener.
+    pub fn of<M>(frames: &[Frame<M>], aggregated: bool) -> Self {
+        OverheardPpdu {
+            needs_nav: frames
+                .iter()
+                .any(|f| matches!(f, Frame::Data(_) | Frame::BlockAckReq { .. })),
+            block_ack_response: aggregated
+                || matches!(frames.first(), Some(Frame::BlockAckReq { .. })),
+            mpdus_ok: 0,
+        }
+    }
 }
 
 /// Everything a station can ask of the outside world.

@@ -13,7 +13,8 @@
 //! [`Msdu`], and compressed TCP ACKs ride on link-layer acknowledgments
 //! as opaque [`HackBlob`] bytes, mirroring the paper's requirement that
 //! the NIC need no TCP intelligence. Everything is sans-IO: handlers
-//! return [`Action`]s for the `hack-core` event loop to materialize.
+//! append [`Action`]s to a caller-supplied buffer for the `hack-core`
+//! event loop to materialize.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,13 +30,13 @@ pub mod scoreboard;
 pub mod station;
 pub mod stats;
 
-pub use actions::{Action, RespKind, RxDataInfo, TimerKind, TxDescriptor};
+pub use actions::{Action, OverheardPpdu, RespKind, RxDataInfo, TimerKind, TxDescriptor};
 pub use assoc::{AssocConfig, AssocMachine, AssocState, AssocStep};
 pub use backoff::Contention;
 pub use capability::{AssocRequest, AssocResponse, CapabilityInfo};
 pub use config::MacConfig;
 pub use frame::{ampdu_wire_len, AckBitmap, DataMpdu, Frame, HackBlob, Msdu, SeqNum};
 pub use queue::{BaResolution, DestQueue, Mpdu};
-pub use scoreboard::{RxAccept, RxReorder};
+pub use scoreboard::RxReorder;
 pub use station::Station;
 pub use stats::{MacStats, TrafficClass};

@@ -9,22 +9,12 @@
 //! immediately and only duplicates are suppressed, since the transmitter
 //! never reorders.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use hack_phy::StationId;
 
+use crate::actions::Action;
 use crate::frame::{AckBitmap, SeqNum};
-
-/// Outcome of offering one received MPDU to the reorder machinery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RxAccept<M> {
-    /// MSDUs released to the upper layer by this MPDU (possibly several,
-    /// when it fills a gap; possibly none, when it is buffered).
-    pub deliver: Vec<(StationId, M)>,
-    /// Whether the MPDU was new (false = duplicate of something already
-    /// received).
-    pub is_new: bool,
-}
 
 /// Per-transmitter receive state.
 #[derive(Debug)]
@@ -42,7 +32,7 @@ pub struct RxReorder<M> {
     /// Scoreboard of received-but-possibly-undelivered seqs for BA
     /// bitmaps and duplicate detection, as distances are recomputed per
     /// query: we keep the most recent 128 received seqs.
-    seen: Vec<SeqNum>,
+    seen: VecDeque<SeqNum>,
     /// Highest (newest) sequence number ever received.
     highest: Option<SeqNum>,
 }
@@ -61,7 +51,7 @@ impl<M> RxReorder<M> {
             ordered,
             win_start: SeqNum::new(0),
             held: BTreeMap::new(),
-            seen: Vec::new(),
+            seen: VecDeque::new(),
             highest: None,
         }
     }
@@ -88,9 +78,9 @@ impl<M> RxReorder<M> {
 
     fn note_seen(&mut self, seq: SeqNum) {
         if self.seen.len() == SEEN_CAP {
-            self.seen.remove(0);
+            self.seen.pop_front();
         }
-        self.seen.push(seq);
+        self.seen.push_back(seq);
         let newer = match self.highest {
             None => true,
             Some(h) => seq.is_newer_than(h),
@@ -100,15 +90,14 @@ impl<M> RxReorder<M> {
         }
     }
 
-    /// Offer one decoded MPDU. Returns what to deliver upward and whether
-    /// the MPDU was new. On the first ever reception the window aligns
-    /// itself to the received sequence number (implicit BA session setup).
-    pub fn on_mpdu(&mut self, seq: SeqNum, msdu: M) -> RxAccept<M> {
+    /// Offer one decoded MPDU. Appends an [`Action::Deliver`] to `out`
+    /// for every MSDU it releases upward (possibly several, when it fills
+    /// a gap; possibly none, when it is buffered), leaving what `out`
+    /// already holds untouched. Returns whether the MPDU was new (false =
+    /// duplicate of something already received).
+    pub fn on_mpdu(&mut self, seq: SeqNum, msdu: M, out: &mut Vec<Action<M>>) -> bool {
         if self.is_duplicate(seq) {
-            return RxAccept {
-                deliver: Vec::new(),
-                is_new: false,
-            };
+            return false;
         }
         self.note_seen(seq);
 
@@ -117,56 +106,57 @@ impl<M> RxReorder<M> {
             if seq == self.win_start || seq.is_newer_than(self.win_start) {
                 self.win_start = seq.next();
             }
-            return RxAccept {
-                deliver: vec![(self.src, msdu)],
-                is_new: true,
-            };
+            self.deliver(msdu, out);
+            return true;
         }
 
         // Ordered (Block ACK) path.
         let dist = seq.dist_from(self.win_start);
+        if dist == 0 {
+            // In order: straight through, then whatever it unblocks.
+            self.deliver(msdu, out);
+            self.win_start = seq.next();
+            if !self.held.is_empty() {
+                self.drain_in_order(out);
+            }
+            return true;
+        }
         if dist >= 2048 {
             // Behind the window: old duplicate that fell out of `seen`.
-            return RxAccept {
-                deliver: Vec::new(),
-                is_new: false,
-            };
+            return false;
         }
         if dist >= 64 {
             // Window overflow: slide forward to seq-63, releasing
             // everything that falls out (with gaps).
             let new_start = seq.add(4096 - 63);
-            let mut out = self.release_before(new_start);
+            self.release_before(new_start, out);
             self.win_start = new_start;
-            self.held.insert(seq.value(), msdu);
-            out.extend(self.drain_in_order());
-            return RxAccept {
-                deliver: out,
-                is_new: true,
-            };
         }
         self.held.insert(seq.value(), msdu);
-        let deliver = self.drain_in_order();
-        RxAccept {
-            deliver,
-            is_new: true,
-        }
+        self.drain_in_order(out);
+        true
     }
 
     /// A Block ACK Request names `start`: release everything held below
-    /// it and advance the window.
-    pub fn on_bar(&mut self, start: SeqNum) -> Vec<(StationId, M)> {
+    /// it and advance the window, appending the deliveries to `out`.
+    pub fn on_bar(&mut self, start: SeqNum, out: &mut Vec<Action<M>>) {
         if !start.is_newer_than(self.win_start) {
-            return Vec::new();
+            return;
         }
-        let mut out = self.release_before(start);
+        self.release_before(start, out);
         self.win_start = start;
-        out.extend(self.drain_in_order());
-        out
+        self.drain_in_order(out);
+    }
+
+    fn deliver(&self, msdu: M, out: &mut Vec<Action<M>>) {
+        out.push(Action::Deliver {
+            src: self.src,
+            msdu,
+        });
     }
 
     /// Release held MSDUs with seq strictly before `bound` (in order).
-    fn release_before(&mut self, bound: SeqNum) -> Vec<(StationId, M)> {
+    fn release_before(&mut self, bound: SeqNum, out: &mut Vec<Action<M>>) {
         let mut keys: Vec<u16> = self
             .held
             .keys()
@@ -174,19 +164,18 @@ impl<M> RxReorder<M> {
             .filter(|&k| bound.is_newer_than(SeqNum::new(k)))
             .collect();
         keys.sort_by_key(|&k| SeqNum::new(k).dist_from(self.win_start));
-        keys.into_iter()
-            .map(|k| (self.src, self.held.remove(&k).expect("key present")))
-            .collect()
+        for k in keys {
+            let msdu = self.held.remove(&k).expect("key present");
+            self.deliver(msdu, out);
+        }
     }
 
     /// Deliver consecutively from `win_start` while held.
-    fn drain_in_order(&mut self) -> Vec<(StationId, M)> {
-        let mut out = Vec::new();
+    fn drain_in_order(&mut self, out: &mut Vec<Action<M>>) {
         while let Some(msdu) = self.held.remove(&self.win_start.value()) {
-            out.push((self.src, msdu));
+            self.deliver(msdu, out);
             self.win_start = self.win_start.next();
         }
-        out
     }
 
     /// Build the Block ACK bitmap describing the current window: starts
@@ -205,6 +194,7 @@ impl<M> RxReorder<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actions::TimerKind;
 
     const AP: StationId = StationId(0);
 
@@ -212,11 +202,42 @@ mod tests {
         RxReorder::new(AP, ordered)
     }
 
+    /// What `on_mpdu` answers: whether the MPDU was new, and the
+    /// (source, MSDU) pairs it released.
+    struct Accept {
+        is_new: bool,
+        deliver: Vec<(StationId, u32)>,
+    }
+
+    fn delivered(out: Vec<Action<u32>>) -> Vec<(StationId, u32)> {
+        out.into_iter()
+            .map(|a| match a {
+                Action::Deliver { src, msdu } => (src, msdu),
+                other => panic!("reorder emitted {other:?}"),
+            })
+            .collect()
+    }
+
+    fn offer(r: &mut RxReorder<u32>, seq: u16, msdu: u32) -> Accept {
+        let mut out = Vec::new();
+        let is_new = r.on_mpdu(SeqNum::new(seq), msdu, &mut out);
+        Accept {
+            is_new,
+            deliver: delivered(out),
+        }
+    }
+
+    fn bar(r: &mut RxReorder<u32>, start: u16) -> Vec<(StationId, u32)> {
+        let mut out = Vec::new();
+        r.on_bar(SeqNum::new(start), &mut out);
+        delivered(out)
+    }
+
     #[test]
     fn in_order_delivery() {
         let mut r = sb(true);
         for i in 0..5u16 {
-            let acc = r.on_mpdu(SeqNum::new(i), u32::from(i));
+            let acc = offer(&mut r, i, u32::from(i));
             assert!(acc.is_new);
             assert_eq!(acc.deliver, vec![(AP, u32::from(i))]);
         }
@@ -224,15 +245,46 @@ mod tests {
     }
 
     #[test]
+    fn appends_to_a_non_empty_buffer_without_disturbing_it() {
+        let mut r = sb(true);
+        let mut out = vec![
+            Action::CancelTimer {
+                kind: TimerKind::TxStart,
+            },
+            Action::Deliver {
+                src: StationId(9),
+                msdu: 99,
+            },
+        ];
+        // Held (gap at 0), duplicate, then the gap-filler and a BAR.
+        assert!(r.on_mpdu(SeqNum::new(1), 1, &mut out));
+        assert!(!r.on_mpdu(SeqNum::new(1), 1, &mut out));
+        assert_eq!(out.len(), 2, "nothing released yet");
+        assert!(r.on_mpdu(SeqNum::new(0), 0, &mut out));
+        assert!(r.on_mpdu(SeqNum::new(3), 3, &mut out));
+        r.on_bar(SeqNum::new(3), &mut out);
+        assert!(matches!(
+            out[0],
+            Action::CancelTimer {
+                kind: TimerKind::TxStart
+            }
+        ));
+        assert_eq!(
+            delivered(out.split_off(1)),
+            vec![(StationId(9), 99), (AP, 0), (AP, 1), (AP, 3)]
+        );
+    }
+
+    #[test]
     fn gap_holds_until_filled() {
         let mut r = sb(true);
-        r.on_mpdu(SeqNum::new(0), 0);
+        offer(&mut r, 0, 0);
         // 2 arrives before 1: held.
-        let acc = r.on_mpdu(SeqNum::new(2), 2);
+        let acc = offer(&mut r, 2, 2);
         assert!(acc.is_new);
         assert!(acc.deliver.is_empty());
         // 1 fills the gap: both released in order.
-        let acc = r.on_mpdu(SeqNum::new(1), 1);
+        let acc = offer(&mut r, 1, 1);
         assert_eq!(acc.deliver, vec![(AP, 1), (AP, 2)]);
         assert_eq!(r.window_start(), SeqNum::new(3));
     }
@@ -240,8 +292,8 @@ mod tests {
     #[test]
     fn duplicates_not_redelivered_but_reacked() {
         let mut r = sb(true);
-        r.on_mpdu(SeqNum::new(0), 0);
-        let acc = r.on_mpdu(SeqNum::new(0), 0);
+        offer(&mut r, 0, 0);
+        let acc = offer(&mut r, 0, 0);
         assert!(!acc.is_new);
         assert!(acc.deliver.is_empty());
         // The bitmap still covers it via the advanced window start.
@@ -252,11 +304,11 @@ mod tests {
     #[test]
     fn bar_flushes_gap() {
         let mut r = sb(true);
-        r.on_mpdu(SeqNum::new(0), 0);
-        r.on_mpdu(SeqNum::new(2), 2);
-        r.on_mpdu(SeqNum::new(3), 3);
+        offer(&mut r, 0, 0);
+        offer(&mut r, 2, 2);
+        offer(&mut r, 3, 3);
         // Transmitter gave up on seq 1 and BARs at 2: held frames flush.
-        let out = r.on_bar(SeqNum::new(2));
+        let out = bar(&mut r, 2);
         assert_eq!(out, vec![(AP, 2), (AP, 3)]);
         assert_eq!(r.window_start(), SeqNum::new(4));
     }
@@ -265,9 +317,9 @@ mod tests {
     fn bar_behind_window_is_noop() {
         let mut r = sb(true);
         for i in 0..4u16 {
-            r.on_mpdu(SeqNum::new(i), u32::from(i));
+            offer(&mut r, i, u32::from(i));
         }
-        let out = r.on_bar(SeqNum::new(1));
+        let out = bar(&mut r, 1);
         assert!(out.is_empty());
         assert_eq!(r.window_start(), SeqNum::new(4));
     }
@@ -275,15 +327,15 @@ mod tests {
     #[test]
     fn window_overflow_releases_stale_head() {
         let mut r = sb(true);
-        r.on_mpdu(SeqNum::new(0), 0);
+        offer(&mut r, 0, 0);
         // Lose seq 1; receive 2..=64 (window start stuck at 1, 63 held).
         for i in 2..=64u16 {
-            let acc = r.on_mpdu(SeqNum::new(i), u32::from(i));
+            let acc = offer(&mut r, i, u32::from(i));
             assert!(acc.deliver.is_empty(), "seq {i} must be held");
         }
         // Seq 65 is 64 beyond win_start=1: slide to 65-63=2, release 2..,
         // then 65 itself joins in-order drain only after 64.
-        let acc = r.on_mpdu(SeqNum::new(65), 65);
+        let acc = offer(&mut r, 65, 65);
         assert!(acc.is_new);
         let vals: Vec<u32> = acc.deliver.iter().map(|&(_, v)| v).collect();
         assert_eq!(vals, (2..=65).collect::<Vec<u32>>());
@@ -296,37 +348,37 @@ mod tests {
         // the Block ACK must NOT cover seq 0 — the transmitter needs to
         // retransmit it.
         let mut r = sb(true);
-        let acc = r.on_mpdu(SeqNum::new(1), 1);
+        let acc = offer(&mut r, 1, 1);
         assert!(acc.deliver.is_empty(), "held until seq 0 arrives");
         let bm = r.ba_bitmap();
         assert_eq!(bm.start, SeqNum::new(0));
         assert!(!bm.contains(SeqNum::new(0)));
         assert!(bm.contains(SeqNum::new(1)));
         // The retransmission completes the pair in order.
-        let acc = r.on_mpdu(SeqNum::new(0), 0);
+        let acc = offer(&mut r, 0, 0);
         assert_eq!(acc.deliver, vec![(AP, 0), (AP, 1)]);
     }
 
     #[test]
     fn unordered_mode_delivers_immediately_with_dedup() {
         let mut r = sb(false);
-        assert_eq!(r.on_mpdu(SeqNum::new(0), 0).deliver.len(), 1);
+        assert_eq!(offer(&mut r, 0, 0).deliver.len(), 1);
         // Gap: seq 2 delivered immediately despite missing 1.
-        assert_eq!(r.on_mpdu(SeqNum::new(2), 2).deliver.len(), 1);
+        assert_eq!(offer(&mut r, 2, 2).deliver.len(), 1);
         // Retransmitted dup suppressed.
-        let acc = r.on_mpdu(SeqNum::new(2), 2);
+        let acc = offer(&mut r, 2, 2);
         assert!(!acc.is_new);
         assert!(acc.deliver.is_empty());
         // Late arrival of 1 still delivered (upper layer reorders).
-        assert_eq!(r.on_mpdu(SeqNum::new(1), 1).deliver.len(), 1);
+        assert_eq!(offer(&mut r, 1, 1).deliver.len(), 1);
     }
 
     #[test]
     fn ba_bitmap_reflects_window() {
         let mut r = sb(true);
-        r.on_mpdu(SeqNum::new(0), 0);
-        r.on_mpdu(SeqNum::new(2), 2);
-        r.on_mpdu(SeqNum::new(5), 5);
+        offer(&mut r, 0, 0);
+        offer(&mut r, 2, 2);
+        offer(&mut r, 5, 5);
         let bm = r.ba_bitmap();
         assert_eq!(bm.start, SeqNum::new(1));
         assert!(!bm.contains(SeqNum::new(1)));
@@ -342,12 +394,12 @@ mod tests {
         // the wrap boundary in-order.
         let mut r = sb(true);
         for i in 0..4096u32 {
-            let acc = r.on_mpdu(SeqNum::new(i as u16), i);
+            let acc = offer(&mut r, i as u16, i);
             assert_eq!(acc.deliver.len(), 1, "i={i}");
         }
         assert_eq!(r.window_start(), SeqNum::new(0));
         for i in 0..6u32 {
-            let acc = r.on_mpdu(SeqNum::new(i as u16), 5000 + i);
+            let acc = offer(&mut r, i as u16, 5000 + i);
             // Seqs 0..6 were seen 4096 frames ago but have fallen out of
             // the dedup history: they deliver again as the new epoch.
             assert_eq!(acc.deliver.len(), 1, "wrap i={i}");
@@ -359,9 +411,9 @@ mod tests {
     #[test]
     fn highest_tracks_newest() {
         let mut r = sb(true);
-        r.on_mpdu(SeqNum::new(10), 10);
-        r.on_mpdu(SeqNum::new(12), 12);
-        r.on_mpdu(SeqNum::new(11), 11);
+        offer(&mut r, 10, 10);
+        offer(&mut r, 12, 12);
+        offer(&mut r, 11, 11);
         assert_eq!(r.highest(), Some(SeqNum::new(12)));
     }
 }

@@ -7,8 +7,10 @@
 //! slot that lets the driver above ride compressed TCP ACKs on outgoing
 //! link-layer acknowledgments.
 //!
-//! Every handler takes `now` and returns [`Action`]s; the event loop in
-//! `hack-core` owns the clock, timers and medium. Invariants:
+//! Every handler takes `now` and appends [`Action`]s to a caller-supplied
+//! buffer (`out`), leaving what is already there untouched; the event
+//! loop in `hack-core` owns the clock, timers and medium, and reuses one
+//! buffer across callbacks. Invariants:
 //!
 //! * at most one of {armed `TxStart`, in-flight PPDU, awaited response}
 //!   exists at a time — the MAC runs one exchange at a time;
@@ -25,7 +27,7 @@ use hack_phy::StationId;
 use hack_sim::{SimDuration, SimRng, SimTime};
 use hack_trace::{trace_ev, Event, TraceHandle};
 
-use crate::actions::{Action, RespKind, RxDataInfo, TimerKind, TxDescriptor};
+use crate::actions::{Action, OverheardPpdu, RespKind, RxDataInfo, TimerKind, TxDescriptor};
 use crate::backoff::Contention;
 use crate::config::MacConfig;
 use crate::frame::{ampdu_wire_len, Frame, HackBlob, Msdu, SeqNum};
@@ -267,12 +269,12 @@ impl<M: Msdu> Station<M> {
     }
 
     /// Enqueue an MSDU for transmission to `dst`.
-    pub fn enqueue(&mut self, dst: StationId, msdu: M, now: SimTime) -> Vec<Action<M>> {
+    pub fn enqueue(&mut self, dst: StationId, msdu: M, now: SimTime, out: &mut Vec<Action<M>>) {
         self.queue_mut(dst).enqueue(msdu);
         if self.work_since.is_none() {
             self.work_since = Some(now);
         }
-        self.maybe_contend(now)
+        self.maybe_contend(now, out);
     }
 
     // ------------------------------------------------------------------
@@ -281,15 +283,14 @@ impl<M: Msdu> Station<M> {
 
     /// The medium went busy at `now` (some station began transmitting;
     /// includes our own transmissions).
-    pub fn on_channel_busy(&mut self, now: SimTime) -> Vec<Action<M>> {
+    pub fn on_channel_busy(&mut self, now: SimTime, out: &mut Vec<Action<M>>) {
         self.phys_busy = true;
-        let mut actions = Vec::new();
         if let Some(tx_at) = self.tx_at {
             if tx_at > now {
                 // Freeze the countdown; we lost this round.
                 self.contention.pause(now);
                 self.tx_at = None;
-                actions.push(Action::CancelTimer {
+                out.push(Action::CancelTimer {
                     kind: TimerKind::TxStart,
                 });
             }
@@ -305,86 +306,114 @@ impl<M: Msdu> Station<M> {
             // the deadline past any plausible response airtime; if the
             // frame turns out not to be our response, the pushed-out
             // timeout still fires and recovery proceeds.
-            actions.push(Action::SetTimer {
+            out.push(Action::SetTimer {
                 kind: TimerKind::AckTimeout,
                 at: now + SimDuration::from_millis(1),
             });
         }
-        actions
     }
 
     /// The medium went idle at `now`.
-    pub fn on_channel_idle(&mut self, now: SimTime) -> Vec<Action<M>> {
+    pub fn on_channel_idle(&mut self, now: SimTime, out: &mut Vec<Action<M>>) {
         self.phys_busy = false;
         self.idle_since = now;
-        self.maybe_contend(now)
+        self.maybe_contend(now, out);
     }
 
     // ------------------------------------------------------------------
     // Reception
     // ------------------------------------------------------------------
 
-    /// A PPDU ended at `now` and this station decoded `frames` from it
-    /// (non-empty). `aggregated` says whether the PPDU was an A-MPDU
-    /// (expects a Block ACK) or a single MPDU (expects an ACK).
+    /// A PPDU addressed to this station ended at `now` and the station
+    /// decoded `frames` from it (non-empty). `aggregated` says whether
+    /// the PPDU was an A-MPDU (expects a Block ACK) or a single MPDU
+    /// (expects an ACK). PPDUs addressed to other stations go to
+    /// [`Station::on_overheard`] instead.
     pub fn on_rx_ppdu(
         &mut self,
         frames: Vec<Frame<M>>,
         aggregated: bool,
         now: SimTime,
-    ) -> Vec<Action<M>> {
+        out: &mut Vec<Action<M>>,
+    ) {
         debug_assert!(!frames.is_empty());
         self.contention.clear_eifs();
-        let mut actions = Vec::new();
 
         let src = frames[0].src();
-        let for_me = frames[0].dst() == self.id;
         debug_assert!(
-            frames
-                .iter()
-                .all(|f| f.src() == src && (f.dst() == self.id) == for_me),
-            "one PPDU, one transmitter, one receiver"
+            frames.iter().all(|f| f.src() == src && f.dst() == self.id),
+            "one PPDU, one transmitter, addressed to us"
         );
 
-        if !for_me {
-            self.overheard(&frames, aggregated, now, &mut actions);
-            return actions;
+        if matches!(frames[0], Frame::Data(_)) {
+            self.on_data(src, frames, aggregated, now, out);
+            return;
         }
-
-        let mut data_frames = Vec::new();
         for frame in frames {
             match frame {
-                Frame::Data(d) => data_frames.push(d),
-                Frame::Ack { hack, .. } => {
-                    self.on_response(src, None, hack, now, &mut actions);
-                }
+                Frame::Ack { hack, .. } => self.on_response(src, None, hack, now, out),
                 Frame::BlockAck { bitmap, hack, .. } => {
-                    self.on_response(src, Some(bitmap), hack, now, &mut actions);
+                    self.on_response(src, Some(bitmap), hack, now, out);
                 }
-                Frame::BlockAckReq { start, .. } => {
-                    self.on_bar(src, start, now, &mut actions);
+                Frame::BlockAckReq { start, .. } => self.on_bar(src, start, now, out),
+                Frame::Data(_) => debug_assert!(false, "data never shares a PPDU with control"),
+            }
+        }
+    }
+
+    /// A PPDU addressed to another station ended at `now` and this
+    /// station decoded `ppdu.mpdus_ok` of its MPDUs. Clears EIFS; a data
+    /// or BAR PPDU also sets the NAV over its SIFS + response tail,
+    /// freezing a running backoff countdown.
+    pub fn on_overheard(&mut self, ppdu: OverheardPpdu, now: SimTime, out: &mut Vec<Action<M>>) {
+        debug_assert!(ppdu.mpdus_ok > 0, "an overheard PPDU decoded something");
+        self.contention.clear_eifs();
+        if !ppdu.needs_nav {
+            return;
+        }
+        // Virtual carrier sense: data and BAR frames reserve the medium
+        // for their SIFS + response tail.
+        let resp_bytes = if ppdu.block_ack_response {
+            crate::frame::sizes::BLOCK_ACK
+        } else {
+            crate::frame::sizes::ACK
+        };
+        let resp_air = self
+            .cfg
+            .data_rate
+            .basic_response_rate()
+            .ppdu_duration(u64::from(resp_bytes));
+        let until = now + self.cfg.timings.sifs + resp_air + SimDuration::from_micros(8);
+        if until > self.nav_until {
+            self.nav_until = until;
+            out.push(Action::SetTimer {
+                kind: TimerKind::NavExpire,
+                at: until,
+            });
+            if let Some(tx_at) = self.tx_at {
+                if tx_at > now {
+                    self.contention.pause(now);
+                    self.tx_at = None;
+                    out.push(Action::CancelTimer {
+                        kind: TimerKind::TxStart,
+                    });
                 }
             }
         }
-        if !data_frames.is_empty() {
-            self.on_data(src, data_frames, aggregated, now, &mut actions);
-        }
-        actions
     }
 
     /// Energy was detected but nothing decoded (collision or deep fade):
     /// the station must use EIFS before its next contention round.
-    pub fn on_rx_garbage(&mut self, _now: SimTime) -> Vec<Action<M>> {
+    pub fn on_rx_garbage(&mut self, _now: SimTime) {
         self.stats.rx_garbage.incr();
         self.contention.set_eifs();
-        Vec::new()
     }
 
     /// One or more MPDUs arrived with flipped bits and failed the FCS
     /// check. The frame bodies are discarded; like any undecodable
     /// reception, the station defers EIFS before its next contention
     /// round (802.11-2016 §10.3.2.3.7).
-    pub fn on_rx_corrupt(&mut self, from: StationId, mpdus: u32, now: SimTime) -> Vec<Action<M>> {
+    pub fn on_rx_corrupt(&mut self, from: StationId, mpdus: u32, now: SimTime) {
         self.stats.rx_fcs_bad.add(u64::from(mpdus));
         trace_ev!(
             self.trace,
@@ -396,13 +425,12 @@ impl<M: Msdu> Station<M> {
             }
         );
         self.contention.set_eifs();
-        Vec::new()
     }
 
     fn on_data(
         &mut self,
         src: StationId,
-        frames: Vec<crate::frame::DataMpdu<M>>,
+        frames: Vec<Frame<M>>,
         aggregated: bool,
         now: SimTime,
         actions: &mut Vec<Action<M>>,
@@ -414,21 +442,23 @@ impl<M: Msdu> Station<M> {
             .or_insert_with(|| RxReorder::new(src, ordered));
         let prev_highest = reorder.highest();
 
-        let more_data = frames.iter().any(|f| f.more_data);
-        let sync = frames.iter().any(|f| f.sync);
+        let mut more_data = false;
+        let mut sync = false;
         let mpdus_ok = frames.len();
         let mut advances_seq = false;
 
-        for f in frames {
-            let newer = match prev_highest {
+        for frame in frames {
+            let Frame::Data(f) = frame else {
+                debug_assert!(false, "data never shares a PPDU with control");
+                continue;
+            };
+            more_data |= f.more_data;
+            sync |= f.sync;
+            advances_seq |= match prev_highest {
                 None => true,
                 Some(h) => f.seq.is_newer_than(h),
             };
-            advances_seq |= newer;
-            let accept = reorder.on_mpdu(f.seq, f.payload);
-            for (s, msdu) in accept.deliver {
-                actions.push(Action::Deliver { src: s, msdu });
-            }
+            reorder.on_mpdu(f.seq, f.payload, actions);
         }
 
         actions.push(Action::DataReceived(RxDataInfo {
@@ -468,9 +498,7 @@ impl<M: Msdu> Station<M> {
             .reorder
             .entry(src)
             .or_insert_with(|| RxReorder::new(src, ordered));
-        for (s, msdu) in reorder.on_bar(start) {
-            actions.push(Action::Deliver { src: s, msdu });
-        }
+        reorder.on_bar(start, actions);
         actions.push(Action::BarReceived { from: src, start });
         self.pending_response = Some(RespPlan {
             to: src,
@@ -492,7 +520,6 @@ impl<M: Msdu> Station<M> {
     ) {
         let expected = self.wait_response.is_some_and(|ex| ex.dst == src);
         let retry_limit = self.cfg.timings.retry_limit;
-        let aggregation = self.cfg.aggregation;
 
         // Account LL ACK latency beyond SIFS for responses we awaited.
         if expected {
@@ -552,7 +579,6 @@ impl<M: Msdu> Station<M> {
             self.stats.mpdus_dropped.incr();
             actions.push(Action::MsduDropped { dst: src, msdu });
         }
-        let _ = aggregation;
 
         actions.push(Action::ResponseReceived {
             from: src,
@@ -563,51 +589,7 @@ impl<M: Msdu> Station<M> {
 
         if expected {
             self.work_since = self.has_work().then_some(now);
-            actions.extend(self.maybe_contend(now));
-        }
-    }
-
-    fn overheard(
-        &mut self,
-        frames: &[Frame<M>],
-        aggregated: bool,
-        now: SimTime,
-        actions: &mut Vec<Action<M>>,
-    ) {
-        // Virtual carrier sense: data and BAR frames reserve the medium
-        // for their SIFS + response tail.
-        let resp_bytes = if aggregated || matches!(frames[0], Frame::BlockAckReq { .. }) {
-            crate::frame::sizes::BLOCK_ACK
-        } else {
-            crate::frame::sizes::ACK
-        };
-        let needs_nav = frames
-            .iter()
-            .any(|f| matches!(f, Frame::Data(_) | Frame::BlockAckReq { .. }));
-        if !needs_nav {
-            return;
-        }
-        let resp_air = self
-            .cfg
-            .data_rate
-            .basic_response_rate()
-            .ppdu_duration(u64::from(resp_bytes));
-        let until = now + self.cfg.timings.sifs + resp_air + SimDuration::from_micros(8);
-        if until > self.nav_until {
-            self.nav_until = until;
-            actions.push(Action::SetTimer {
-                kind: TimerKind::NavExpire,
-                at: until,
-            });
-            if let Some(tx_at) = self.tx_at {
-                if tx_at > now {
-                    self.contention.pause(now);
-                    self.tx_at = None;
-                    actions.push(Action::CancelTimer {
-                        kind: TimerKind::TxStart,
-                    });
-                }
-            }
+            self.maybe_contend(now, actions);
         }
     }
 
@@ -616,10 +598,11 @@ impl<M: Msdu> Station<M> {
     // ------------------------------------------------------------------
 
     /// Our PPDU (data, BAR, or response) finished its airtime at `now`.
-    pub fn on_tx_end(&mut self, now: SimTime) -> Vec<Action<M>> {
+    pub fn on_tx_end(&mut self, now: SimTime, out: &mut Vec<Action<M>>) {
         if self.response_in_flight {
             self.response_in_flight = false;
-            return self.maybe_contend(now);
+            self.maybe_contend(now, out);
+            return;
         }
         let mut ex = self
             .in_flight
@@ -627,23 +610,23 @@ impl<M: Msdu> Station<M> {
             .expect("on_tx_end with nothing in flight");
         ex.ended_at = Some(now);
         self.wait_response = Some(ex);
-        vec![Action::SetTimer {
+        out.push(Action::SetTimer {
             kind: TimerKind::AckTimeout,
             at: now + self.cfg.ack_timeout(),
-        }]
+        });
     }
 
     /// Timer dispatch.
-    pub fn on_timer(&mut self, kind: TimerKind, now: SimTime) -> Vec<Action<M>> {
+    pub fn on_timer(&mut self, kind: TimerKind, now: SimTime, out: &mut Vec<Action<M>>) {
         match kind {
-            TimerKind::TxStart => self.on_tx_start(now),
-            TimerKind::AckTimeout => self.on_ack_timeout(now),
-            TimerKind::SendResponse => self.on_send_response(now),
-            TimerKind::NavExpire => self.maybe_contend(now),
+            TimerKind::TxStart => self.on_tx_start(now, out),
+            TimerKind::AckTimeout => self.on_ack_timeout(now, out),
+            TimerKind::SendResponse => self.on_send_response(now, out),
+            TimerKind::NavExpire => self.maybe_contend(now, out),
         }
     }
 
-    fn on_tx_start(&mut self, now: SimTime) -> Vec<Action<M>> {
+    fn on_tx_start(&mut self, now: SimTime, out: &mut Vec<Action<M>>) {
         debug_assert_eq!(self.tx_at, Some(now), "stale TxStart must be filtered");
         self.tx_at = None;
         self.contention.consume();
@@ -661,7 +644,7 @@ impl<M: Msdu> Station<M> {
         }
         let Some(idx) = picked else {
             self.work_since = None;
-            return Vec::new();
+            return;
         };
 
         let wait = self
@@ -695,20 +678,22 @@ impl<M: Msdu> Station<M> {
                 self.id.0,
                 Event::MacBar { peer: dst.0 }
             );
-            return vec![Action::StartTx(TxDescriptor {
+            out.push(Action::StartTx(TxDescriptor {
                 frames: vec![frame],
                 rate,
                 duration,
                 is_response: false,
                 aggregated: false,
-            })];
+            }));
+            return;
         }
 
         let cfg = self.cfg.clone();
         let batch = self.queues[idx].build_batch(self.id, &cfg);
         if batch.is_empty() {
             self.work_since = self.has_work().then_some(now);
-            return self.maybe_contend(now);
+            self.maybe_contend(now, out);
+            return;
         }
 
         let aggregated = cfg.aggregation;
@@ -756,21 +741,20 @@ impl<M: Msdu> Station<M> {
                 self.stats.airtime_ack.add(duration);
             }
         }
-        vec![Action::StartTx(TxDescriptor {
+        out.push(Action::StartTx(TxDescriptor {
             frames,
             rate: cfg.data_rate,
             duration,
             is_response: false,
             aggregated,
-        })]
+        }));
     }
 
-    fn on_ack_timeout(&mut self, now: SimTime) -> Vec<Action<M>> {
+    fn on_ack_timeout(&mut self, now: SimTime, out: &mut Vec<Action<M>>) {
         let Some(ex) = self.wait_response.take() else {
-            return Vec::new();
+            return;
         };
         self.stats.ack_timeouts.incr();
-        let mut actions = Vec::new();
         let within_budget = self.contention.on_failure();
         let aggregation = self.cfg.aggregation;
         let retry_limit = self.cfg.timings.retry_limit;
@@ -803,7 +787,7 @@ impl<M: Msdu> Station<M> {
                 }
                 for msdu in dropped {
                     self.stats.mpdus_dropped.incr();
-                    actions.push(Action::MsduDropped { dst: ex.dst, msdu });
+                    out.push(Action::MsduDropped { dst: ex.dst, msdu });
                 }
             }
             TxKind::Bar => {
@@ -811,7 +795,7 @@ impl<M: Msdu> Station<M> {
                     self.stats.bars_exhausted.incr();
                     self.queue_mut(ex.dst).on_bar_exhausted();
                     self.contention.on_abandon();
-                    actions.push(Action::BarExhausted { dst: ex.dst });
+                    out.push(Action::BarExhausted { dst: ex.dst });
                 }
                 // Within budget: bar_pending remains set; we re-contend
                 // and send another BAR.
@@ -819,13 +803,12 @@ impl<M: Msdu> Station<M> {
         }
 
         self.work_since = self.has_work().then_some(now);
-        actions.extend(self.maybe_contend(now));
-        actions
+        self.maybe_contend(now, out);
     }
 
-    fn on_send_response(&mut self, now: SimTime) -> Vec<Action<M>> {
+    fn on_send_response(&mut self, now: SimTime, out: &mut Vec<Action<M>>) {
         let Some(plan) = self.pending_response.take() else {
-            return Vec::new();
+            return;
         };
         // Attach the HACK blob installed for this peer, if any. The blob
         // is *retained* (cloned): the driver clears it only on the §3.4
@@ -887,27 +870,27 @@ impl<M: Msdu> Station<M> {
             }
         }
         self.stats.airtime_response.add(duration);
-        vec![
-            Action::ResponseSent {
-                to: plan.to,
-                kind: plan.kind,
-                attached_blob: attached,
-            },
-            Action::StartTx(TxDescriptor {
-                frames: vec![frame],
-                rate,
-                duration,
-                is_response: true,
-                aggregated: false,
-            }),
-        ]
+        out.push(Action::ResponseSent {
+            to: plan.to,
+            kind: plan.kind,
+            attached_blob: attached,
+        });
+        out.push(Action::StartTx(TxDescriptor {
+            frames: vec![frame],
+            rate,
+            duration,
+            is_response: true,
+            aggregated: false,
+        }));
     }
 
     // ------------------------------------------------------------------
     // Contention driver
     // ------------------------------------------------------------------
 
-    fn maybe_contend(&mut self, now: SimTime) -> Vec<Action<M>> {
+    /// Arm the TxStart countdown if work is pending and nothing blocks
+    /// contention. Pushes at most one action.
+    fn maybe_contend(&mut self, now: SimTime, out: &mut Vec<Action<M>>) {
         if self.tx_at.is_some()
             || self.in_flight.is_some()
             || self.wait_response.is_some()
@@ -916,11 +899,11 @@ impl<M: Msdu> Station<M> {
             || self.phys_busy
             || now < self.nav_until
         {
-            return Vec::new();
+            return;
         }
         if !self.has_work() {
             self.work_since = None;
-            return Vec::new();
+            return;
         }
         let work_since = *self.work_since.get_or_insert(now);
         let idle_since = self.idle_since.max(self.nav_until);
@@ -940,9 +923,9 @@ impl<M: Msdu> Station<M> {
         // long been idle; clamp to now.
         let tx_at = tx_at.max(now);
         self.tx_at = Some(tx_at);
-        vec![Action::SetTimer {
+        out.push(Action::SetTimer {
             kind: TimerKind::TxStart,
             at: tx_at,
-        }]
+        });
     }
 }

@@ -43,6 +43,7 @@
 //! input the ROHC CRC-3 / context-repair path (§3.3.2) exists to absorb.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use hack_sim::{SimRng, SimTime};
 use hack_trace::{Event, TraceHandle};
@@ -141,17 +142,12 @@ pub struct Reception {
     /// Whether the preamble was detected and the PPDU did not collide.
     /// When false, the station saw only energy (it still defers).
     pub detected: bool,
-    /// Per-MPDU decode results (empty when `detected` is false).
-    pub mpdus: Vec<MpduStatus>,
+    /// Where this station's per-MPDU decode results sit in
+    /// [`TxOutcome::statuses`] (an empty range when `detected` is
+    /// false); read them with [`TxOutcome::mpdus`].
+    pub mpdus: Range<usize>,
     /// Link SNR in dB (`f64::INFINITY` when no channel model is active).
     pub snr_db: f64,
-}
-
-impl Reception {
-    /// Whether MPDU `i` was decoded cleanly.
-    pub fn mpdu_ok(&self, i: usize) -> bool {
-        self.mpdus.get(i).copied().is_some_and(MpduStatus::is_ok)
-    }
 }
 
 /// The result of a completed transmission.
@@ -165,6 +161,17 @@ pub struct TxOutcome {
     /// station whose interference domain hears the transmitter's (all
     /// other stations on a legacy single-domain medium).
     pub receptions: Vec<Reception>,
+    /// Every detecting station's per-MPDU decode results, back to back
+    /// in reception order: one buffer per PPDU, not one per listener.
+    pub statuses: Vec<MpduStatus>,
+}
+
+impl TxOutcome {
+    /// Per-MPDU decode results of `reception` (empty when it was not
+    /// detected).
+    pub fn mpdus(&self, reception: &Reception) -> &[MpduStatus] {
+        &self.statuses[reception.mpdus.clone()]
+    }
 }
 
 #[derive(Debug)]
@@ -560,49 +567,56 @@ impl Medium {
         // it needs `&mut self`. Capacity saturates for degenerate
         // (single- or zero-listener) worlds.
         let d = tx.domain as usize;
-        let mut receptions: Vec<Reception> =
-            Vec::with_capacity(self.listeners[d].len().saturating_sub(1));
-        for i in 0..self.listeners[d].len() {
+        let listeners = self.listeners[d].len();
+        let mut receptions: Vec<Reception> = Vec::with_capacity(listeners.saturating_sub(1));
+        let mut statuses = Vec::new();
+        if !tx.collided {
+            statuses.reserve(listeners.saturating_sub(1) * tx.meta.mpdu_lens.len());
+        }
+        for i in 0..listeners {
             let station = self.listeners[d][i];
             if station != tx.meta.src {
-                receptions.push(self.receive_at(station, &tx, rng));
+                receptions.push(self.receive_at(station, &tx, rng, &mut statuses));
             }
         }
 
-        if self.trace.enabled() {
-            self.trace_tx_outcome(&tx, &receptions, now);
-        }
-
-        TxOutcome {
+        let outcome = TxOutcome {
             collided: tx.collided,
             meta: tx.meta,
             receptions,
+            statuses,
+        };
+        if self.trace.enabled() {
+            self.trace_tx_outcome(tx.id, &outcome, now);
         }
+        outcome
     }
 
     /// Emit the PHY trace events describing one completed transmission,
     /// judged at the intended receiver (or across every listener for
     /// broadcast PPDUs).
-    fn trace_tx_outcome(&self, tx: &ActiveTx, receptions: &[Reception], now: SimTime) {
+    fn trace_tx_outcome(&self, id: TxId, out: &TxOutcome, now: SimTime) {
         let t = now.as_nanos();
-        let src = tx.meta.src.0;
-        if tx.collided {
-            self.trace.emit(t, src, Event::PhyCollision { tx: tx.id.0 });
+        let src = out.meta.src.0;
+        if out.collided {
+            self.trace.emit(t, src, Event::PhyCollision { tx: id.0 });
         }
-        let judged: Vec<&Reception> = receptions
-            .iter()
-            .filter(|r| tx.meta.dst.is_none_or(|d| d == r.station))
-            .collect();
+        let mut judged = 0u32;
         let mut delivered = 0u32;
-        for r in &judged {
+        for r in out
+            .receptions
+            .iter()
+            .filter(|r| out.meta.dst.is_none_or(|d| d == r.station))
+        {
+            judged += 1;
             if !r.detected {
-                if !tx.collided {
+                if !out.collided {
                     self.trace
-                        .emit(t, r.station.0, Event::PhyPreambleMiss { tx: tx.id.0 });
+                        .emit(t, r.station.0, Event::PhyPreambleMiss { tx: id.0 });
                 }
                 continue;
             }
-            for (i, &st) in r.mpdus.iter().enumerate() {
+            for (i, &st) in out.mpdus(r).iter().enumerate() {
                 match st {
                     MpduStatus::Ok => delivered += 1,
                     MpduStatus::Lost => {
@@ -610,7 +624,7 @@ impl Medium {
                             t,
                             r.station.0,
                             Event::PhyPerDrop {
-                                tx: tx.id.0,
+                                tx: id.0,
                                 mpdu: i as u32,
                             },
                         );
@@ -620,7 +634,7 @@ impl Medium {
                             t,
                             r.station.0,
                             Event::PhyFaultInjected {
-                                tx: tx.id.0,
+                                tx: id.0,
                                 mpdu: i as u32,
                                 fcs_ok,
                             },
@@ -629,33 +643,34 @@ impl Medium {
                 }
             }
         }
-        let offered = (judged.len() * tx.meta.mpdu_lens.len()) as u32;
+        let offered = judged * out.meta.mpdu_lens.len() as u32;
         self.trace.emit(
             t,
             src,
             Event::PhyTxEnd {
-                tx: tx.id.0,
+                tx: id.0,
                 delivered,
                 lost: offered.saturating_sub(delivered),
             },
         );
     }
 
-    fn receive_at(&mut self, station: StationId, tx: &ActiveTx, rng: &mut SimRng) -> Reception {
+    /// What `station` heard of `tx`; its per-MPDU results are appended
+    /// to `statuses`.
+    fn receive_at(
+        &mut self,
+        station: StationId,
+        tx: &ActiveTx,
+        rng: &mut SimRng,
+        statuses: &mut Vec<MpduStatus>,
+    ) -> Reception {
         let snr_db = self.snr_db(tx.meta.src, station);
-        if tx.collided {
+        let first = statuses.len();
+        if tx.collided || rng.chance(self.loss.preamble_loss_prob(snr_db)) {
             return Reception {
                 station,
                 detected: false,
-                mpdus: Vec::new(),
-                snr_db,
-            };
-        }
-        if rng.chance(self.loss.preamble_loss_prob(snr_db)) {
-            return Reception {
-                station,
-                detected: false,
-                mpdus: Vec::new(),
+                mpdus: first..first,
                 snr_db,
             };
         }
@@ -683,7 +698,6 @@ impl Medium {
             let p = 1.0 - (1.0 - pa) * (1.0 - pb);
             (p > 0.0).then_some(p)
         };
-        let mut mpdus = Vec::with_capacity(tx.meta.mpdu_lens.len());
         for &len in &tx.meta.mpdu_lens {
             // Fixed draw order per MPDU — loss first, then corruption —
             // so the trace digest is reproducible from the seed alone.
@@ -717,12 +731,12 @@ impl Medium {
                 (_, _, true) => MpduStatus::Lost,
                 _ => MpduStatus::Ok,
             };
-            mpdus.push(status);
+            statuses.push(status);
         }
         Reception {
             station,
             detected: true,
-            mpdus,
+            mpdus: first..statuses.len(),
             snr_db,
         }
     }
@@ -766,9 +780,9 @@ mod tests {
         assert_eq!(out.receptions.len(), 2); // C1 and C2, not AP
         for r in &out.receptions {
             assert!(r.detected);
-            assert_eq!(r.mpdus, vec![MpduStatus::Ok; 3]);
-            assert!((0..3).all(|i| r.mpdu_ok(i)));
-            assert!(!r.mpdu_ok(3));
+            assert_eq!(out.mpdus(r), [MpduStatus::Ok; 3]);
+            assert!((0..3).all(|i| out.mpdus(r).get(i).is_some_and(|s| s.is_ok())));
+            assert!(out.mpdus(r).get(3).is_none());
         }
         assert_eq!(m.completed(), 1);
         assert_eq!(m.collisions(), 0);
@@ -834,7 +848,7 @@ mod tests {
             let out = m.end_tx(id, now, &mut rng);
             let r = &out.receptions[0];
             assert!(r.detected, "fixed-loss mode never loses preambles");
-            for &st in &r.mpdus {
+            for &st in out.mpdus(r) {
                 total += 1;
                 if !st.is_ok() {
                     lost += 1;
@@ -879,7 +893,7 @@ mod tests {
             now += d;
             let out = m.end_tx(id, now, &mut rng);
             for r in &out.receptions {
-                let ok = r.detected && r.mpdus.iter().all(|&s| s.is_ok());
+                let ok = r.detected && out.mpdus(r).iter().all(|&s| s.is_ok());
                 if r.station == C1 && ok {
                     c1_ok += 1;
                 }
@@ -913,7 +927,7 @@ mod tests {
             now += d;
             let out = m.end_tx(id, now, rng);
             let r = out.receptions.iter().find(|r| r.station == C1).unwrap();
-            statuses.push(r.mpdus[0]);
+            statuses.push(out.mpdus(r)[0]);
             now += SimDuration::from_micros(50);
         }
         statuses
@@ -985,7 +999,7 @@ mod tests {
             now += d;
             let out = m.end_tx(id, now, &mut rng);
             let r = out.receptions.iter().find(|r| r.station == AP).unwrap();
-            match r.mpdus[0] {
+            match out.mpdus(r)[0] {
                 MpduStatus::Corrupt { fcs_ok: false } => caught += 1,
                 MpduStatus::Corrupt { fcs_ok: true } => escaped += 1,
                 MpduStatus::Lost => panic!("control frames are exempt from fixed loss"),
