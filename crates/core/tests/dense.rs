@@ -305,3 +305,33 @@ fn degenerate_dense_worlds_run() {
     assert_eq!(report.flow_goodput_mbps.len(), 4);
     assert!(report.flow_goodput_mbps.iter().all(|&g| g >= 0.0));
 }
+
+/// A Block ACK that drops an MPDU past its retry limit must be followed
+/// by a BAR. Without one, the recipient's reorder window stays at the
+/// dropped sequence number and holds every later MPDU from that station
+/// for good. On this seed, shard 0's flow 4 loses a TCP ACK that way at
+/// 0.18 s; its client's only uplink traffic is TCP ACKs, so the flow
+/// used to stall with zero goodput for the rest of the run.
+#[test]
+fn retry_limit_drop_does_not_stall_a_flow() {
+    let cfg = ScenarioConfig::builder()
+        .hack(HackMode::Disabled)
+        .bss(BssSpec::apartment_block(8, 4))
+        .duration(SimDuration::from_secs(6))
+        .warmup(SimDuration::from_millis(500))
+        .stagger(SimDuration::from_millis(2))
+        .seed(1_232_570_570)
+        .build();
+    let report = run_dense(
+        &cfg,
+        &DenseOptions {
+            threads: 2,
+            ..DenseOptions::default()
+        },
+    );
+    for (shard, s) in report.shards.iter().enumerate() {
+        for (flow, &g) in s.result.flow_goodput_mbps.iter().enumerate() {
+            assert!(g > 0.0, "shard {shard} flow {flow} stalled: {g} Mbps");
+        }
+    }
+}

@@ -242,7 +242,10 @@ impl<M: Msdu> DestQueue<M> {
 
     /// Resolve the awaiting set against a received Block ACK bitmap.
     /// Unacked MPDUs are requeued for retransmission or dropped once
-    /// their attempts exceed `retry_limit`.
+    /// their attempts exceed `retry_limit`. A drop makes a Block ACK
+    /// Request pending: the recipient's reorder window still waits at
+    /// the dropped sequence number and holds everything after it, and
+    /// only a BAR naming a later window start releases them.
     pub fn on_block_ack(&mut self, bitmap: &AckBitmap, retry_limit: u32) -> BaResolution<M> {
         self.bar_pending = false;
         let mut res = BaResolution::default();
@@ -268,6 +271,7 @@ impl<M: Msdu> DestQueue<M> {
             }
         }
         self.retx.make_contiguous().sort_by_key(|m| m.seq.value());
+        self.bar_pending = !res.dropped.is_empty();
         res
     }
 
@@ -496,6 +500,14 @@ mod tests {
         let res = q.on_block_ack(&empty_bm, cfg.timings.retry_limit);
         assert_eq!(res.dropped, vec![Pkt(1500)]);
         assert_eq!(q.backlog(), 0);
+        // The drop owes the recipient a BAR past the dropped seq 0.
+        assert!(q.bar_pending());
+        assert!(q.has_work());
+        assert!(q.build_batch(AP, &cfg).is_empty(), "no data while a BAR is owed");
+        assert_eq!(q.window_start(), SeqNum::new(1));
+        // The recipient answers the BAR with its window at that start.
+        let res = q.on_block_ack(&AckBitmap::new(q.window_start()), cfg.timings.retry_limit);
+        assert_eq!(res, BaResolution::default());
         assert!(!q.has_work());
     }
 

@@ -37,6 +37,15 @@ proptest! {
         let mut rounds = 0;
         while q.has_work() && rounds < 10_000 {
             rounds += 1;
+            if q.bar_pending() {
+                // A drop owes the recipient a BAR; its Block ACK starts
+                // at the window the BAR named, past the dropped MPDU.
+                let answer = AckBitmap::new(q.window_start());
+                let res = q.on_block_ack(&answer, cfg.timings.retry_limit);
+                prop_assert_eq!(res.acked, 0);
+                prop_assert!(res.dropped.is_empty());
+                continue;
+            }
             let batch = q.build_batch(AP, &cfg);
             prop_assert!(!batch.is_empty(), "has_work implies a batch");
             let mut bm = AckBitmap::new(batch[0].seq);
