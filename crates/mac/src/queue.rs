@@ -503,7 +503,10 @@ mod tests {
         // The drop owes the recipient a BAR past the dropped seq 0.
         assert!(q.bar_pending());
         assert!(q.has_work());
-        assert!(q.build_batch(AP, &cfg).is_empty(), "no data while a BAR is owed");
+        assert!(
+            q.build_batch(AP, &cfg).is_empty(),
+            "no data while a BAR is owed"
+        );
         assert_eq!(q.window_start(), SeqNum::new(1));
         // The recipient answers the BAR with its window at that start.
         let res = q.on_block_ack(&AckBitmap::new(q.window_start()), cfg.timings.retry_limit);

@@ -116,9 +116,7 @@ impl<M> RxReorder<M> {
             // In order: straight through, then whatever it unblocks.
             self.deliver(msdu, out);
             self.win_start = seq.next();
-            if !self.held.is_empty() {
-                self.drain_in_order(out);
-            }
+            self.drain_in_order(out);
             return true;
         }
         if dist >= 2048 {
