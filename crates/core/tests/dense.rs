@@ -335,3 +335,129 @@ fn retry_limit_drop_does_not_stall_a_flow() {
         }
     }
 }
+
+/// FNV-1a/128 digest of one shard's canonically encoded result.
+fn result_digest(r: &hack_core::RunResult) -> String {
+    let mut h = hack_core::StableHasher::new();
+    h.write(&hack_core::encode_run_result(r));
+    h.finish_hex()
+}
+
+/// Run `cfg` on 1 and 2 threads and check both against the literal
+/// ledger pins: `(exchange digest, epochs, per-shard result digests)`.
+/// Returns the 2-thread report.
+fn assert_ledger_pins(
+    cfg: &ScenarioConfig,
+    exchange: &str,
+    epochs: u64,
+    shards: &[&str],
+) -> hack_core::DenseReport {
+    let mut last = None;
+    for threads in [1, 2] {
+        let report = run_dense(
+            cfg,
+            &DenseOptions {
+                threads,
+                ..DenseOptions::default()
+            },
+        );
+        let got: Vec<String> = report
+            .shards
+            .iter()
+            .map(|s| result_digest(&s.result))
+            .collect();
+        assert_eq!(report.exchange_digest, exchange, "{threads} threads");
+        assert_eq!(report.epochs, epochs, "{threads} threads");
+        assert_eq!(got, shards, "{threads} threads");
+        last = Some(report);
+    }
+    last.expect("ran at least once")
+}
+
+/// Pins the shard engine's observable output on `dense_tcp`'s world
+/// shape (`apartment_block(8, 4)`, HACK off, seed 5, 1.5 s): the
+/// exchange-ledger digest, the epoch count and each shard's result
+/// digest. The values were captured on the lockstep epoch-barrier
+/// engine, so any engine that replaces it must reproduce them exactly.
+#[test]
+fn apartment_block_ledger_pin() {
+    let cfg = ScenarioConfig::builder()
+        .hack(HackMode::Disabled)
+        .bss(BssSpec::apartment_block(8, 4))
+        .duration(SimDuration::from_millis(1_500))
+        .warmup(SimDuration::from_millis(500))
+        .stagger(SimDuration::from_millis(2))
+        .seed(5)
+        .build();
+    let _ = assert_ledger_pins(
+        &cfg,
+        "50ddc8e6edcdba737870fe2f8e138587",
+        15,
+        &[
+            "de81b0c354fd376c2ce96331db2b9455",
+            "8b2227b67b2f6a9283cd50834cf2e161",
+        ],
+    );
+}
+
+/// The same pin on a roaming world: two interference components merged
+/// by a cross-domain roam, whose handoff is quantised up to the 200 ms
+/// epoch boundary, next to an unrelated third component. Every flow has
+/// a byte budget, so the shards finish early and in different epochs
+/// (the merged one in its 4th, the other in its 3rd): the ledger must
+/// keep folding zero deltas for a shard that is already done.
+#[test]
+fn quantised_roam_ledger_pin() {
+    let mut cfg = ScenarioConfig::builder()
+        .standard(StandardKind::Dot11n)
+        .rate_mbps(150)
+        .hack(HackMode::MoreData)
+        .bss(vec![
+            BssSpec {
+                x: 0.0,
+                y: 0.0,
+                channel: 1,
+                n_clients: 1,
+            },
+            BssSpec {
+                x: 20.0,
+                y: 0.0,
+                channel: 1,
+                n_clients: 1,
+            },
+            BssSpec {
+                x: 100.0,
+                y: 0.0,
+                channel: 6,
+                n_clients: 1,
+            },
+            BssSpec {
+                x: 300.0,
+                y: 0.0,
+                channel: 11,
+                n_clients: 2,
+            },
+        ])
+        .duration(SimDuration::from_millis(900))
+        .transfer_bytes(1_500_000)
+        .stagger(SimDuration::from_millis(2))
+        .warmup(SimDuration::from_millis(5))
+        .seed(13)
+        .build();
+    cfg.roam.schedule = vec![hack_core::RoamEvent {
+        flow: 0,
+        at: SimDuration::from_millis(155),
+        target_bss: 2,
+    }];
+    assert_eq!(shard_configs(&cfg).len(), 2, "roam merges cells 0-2");
+    let report = assert_ledger_pins(
+        &cfg,
+        "5fa77d6889dd865adb1b746cc5fb6d49",
+        4,
+        &[
+            "cd2de4aa494fc58d582f459b405ce733",
+            "bb4fbe5c6accb988e3172653eae1cb95",
+        ],
+    );
+    assert_eq!(report.shards[0].result.roams, 1, "the quantised roam ran");
+}
