@@ -18,25 +18,32 @@
 //!    seed ([`shard_seed`], derived from the master seed and the
 //!    shard's smallest BSS index — stable under any thread schedule).
 //! 2. **Ordered reduction.** Every cross-shard observation — the
-//!    epoch-boundary exchange ledger, merged flow goodputs, shard trace
-//!    digests — is folded in shard index order *after* the epoch
-//!    barrier (`std::thread::scope` join), never in completion order.
+//!    exchange ledger, merged flow goodputs, shard trace digests — is
+//!    folded in shard index order *after* the single join of the worker
+//!    threads, never in completion order.
 //!
 //! The same argument backs `hack-campaign`'s parallel==serial proof;
 //! [`run_dense`] reuses it one level down, inside a single scenario.
 //!
-//! ## Epoch boundaries
+//! ## Epochs and the exchange ledger
 //!
-//! Shards advance in lockstep epochs ([`DenseOptions::epoch`]): every
-//! shard runs all events `<= t`, the scope join forms a barrier, and
-//! the exchange ledger absorbs each shard's progress delta in shard
-//! order. Components exchange no simulation events (their edge set is
-//! empty), so the ledger payload is pure progress accounting — but its
-//! digest pins that serial and parallel executions dispatched the
-//! identical event schedule epoch by epoch, which is what the
-//! `dense-smoke` CI job compares across thread counts.
+//! Worker threads claim whole shards in index order from a shared
+//! counter and run each one to its end with no barrier between shards.
+//! A shard still advances in epochs ([`DenseOptions::epoch`]): it runs
+//! all events `<= k·epoch`, records how many events that epoch
+//! dispatched, and moves on. After the join the exchange ledger folds
+//! those deltas in `(epoch, shard)` order, with a zero for every epoch a
+//! shard had already finished. Components exchange no simulation events
+//! (their edge set is empty), so the ledger is pure progress accounting,
+//! but its digest pins that every execution dispatched the identical
+//! event schedule epoch by epoch, which is what the `dense-smoke` CI job
+//! compares across thread counts. Roams that would couple two shards
+//! are resolved before any shard exists: their components merge and
+//! cross-domain handoffs are quantised to epoch boundaries.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use hack_phy::InterferenceGraph;
 use hack_rohc::DecompressStats;
@@ -56,8 +63,8 @@ pub struct DenseOptions {
     /// Worker threads for shard execution. `1` runs shards serially on
     /// the calling thread; either way the output is byte-identical.
     pub threads: usize,
-    /// Epoch length: shards synchronize (and the exchange ledger folds
-    /// their progress) every this-much simulated time.
+    /// Epoch length: the grain of the exchange ledger (one progress
+    /// delta per shard per epoch) and of cross-domain roam quantisation.
     pub epoch: SimDuration,
     /// Attach a trace ring to every shard and report per-shard digests
     /// (the cross-thread-count comparison the CI smoke job runs).
@@ -97,9 +104,9 @@ pub struct DenseReport {
     /// Per-shard outcomes, in shard index order (shards are ordered by
     /// their smallest BSS index).
     pub shards: Vec<ShardReport>,
-    /// Epoch barriers crossed.
+    /// Epochs the longest-running shard ran (the ledger's length).
     pub epochs: u64,
-    /// Hex digest of the epoch-boundary exchange ledger: an FNV-1a/128
+    /// Hex digest of the exchange ledger: an FNV-1a/128
     /// fold of `(epoch, shard, events-dispatched-delta)` in `(epoch,
     /// shard)` order. Identical across thread counts iff every shard
     /// dispatched the identical event schedule.
@@ -390,7 +397,7 @@ pub fn run_dense(cfg: &ScenarioConfig, opts: &DenseOptions) -> DenseReport {
 
     // Assemble every shard world up front (serial: world construction
     // draws from the shard RNG and is cheap next to the run).
-    let mut shards: Vec<Shard> = parts
+    let shards: Vec<Mutex<Shard>> = parts
         .into_iter()
         .map(|(sub, flows, bss)| {
             let seed = sub.seed;
@@ -400,51 +407,55 @@ pub fn run_dense(cfg: &ScenarioConfig, opts: &DenseOptions) -> DenseReport {
             } else {
                 (TraceHandle::off(), None)
             };
-            Shard {
+            Mutex::new(Shard {
                 bss,
                 flows,
                 seed,
-                world: Some(World::builder(sub).trace(trace).build()),
+                world: World::builder(sub).trace(trace).build(),
                 ring,
-                alive: true,
-                events: 0,
-            }
+                deltas: Vec::new(),
+            })
         })
         .collect();
 
-    let threads = opts.threads.max(1);
+    // Each worker claims whole shards in index order and runs each to
+    // its end, epoch by epoch, recording the shard's per-epoch progress.
+    // Shards share nothing, so no worker ever waits on another until
+    // the single join.
+    let threads = opts.threads.max(1).min(shards.len());
+    if threads > 1 {
+        let next = AtomicUsize::new(0);
+        let shards = &shards;
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    while let Some(s) = shards.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        s.lock().expect("shard lock").run(epoch);
+                    }
+                });
+            }
+        });
+    } else {
+        for s in &shards {
+            s.lock().expect("shard lock").run(epoch);
+        }
+    }
+    let shards: Vec<Shard> = shards
+        .into_iter()
+        .map(|s| s.into_inner().expect("shard lock"))
+        .collect();
+
+    // Exchange ledger, folded in (epoch, shard) order: a shard that
+    // finished before epoch k contributes a zero delta to it.
+    let epochs = shards.iter().map(|s| s.deltas.len()).max().unwrap_or(0);
     let mut ledger = StableHasher::new();
     ledger.write(b"hack-dense-exchange");
     ledger.usize(shards.len());
-    let mut epochs = 0u64;
-    let mut t = SimTime::ZERO;
-
-    while shards.iter().any(|s| s.alive) {
-        t += epoch;
-        epochs += 1;
-        if threads > 1 && shards.len() > 1 {
-            let chunk = shards.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for slab in shards.chunks_mut(chunk) {
-                    scope.spawn(move || {
-                        for s in slab {
-                            s.step(t);
-                        }
-                    });
-                }
-            }); // join = epoch barrier: no shard enters epoch k+1 early
-        } else {
-            for s in &mut shards {
-                s.step(t);
-            }
-        }
-        // Exchange ledger, folded strictly in shard index order.
-        for (i, s) in shards.iter_mut().enumerate() {
-            let now = s.world.as_ref().map_or(s.events, World::events_dispatched);
-            ledger.u64(epochs);
+    for k in 0..epochs {
+        for (i, s) in shards.iter().enumerate() {
+            ledger.u64(k as u64 + 1);
             ledger.usize(i);
-            ledger.u64(now - s.events);
-            s.events = now;
+            ledger.u64(s.deltas.get(k).copied().unwrap_or(0));
         }
     }
 
@@ -452,7 +463,7 @@ pub fn run_dense(cfg: &ScenarioConfig, opts: &DenseOptions) -> DenseReport {
     let mut flow_goodput = vec![0.0; n_flows_total];
     let mut aggregate = 0.0;
     for s in shards {
-        let result = s.world.expect("world present until finish").finish();
+        let result = s.world.finish();
         for (j, &f) in s.flows.iter().enumerate() {
             flow_goodput[f] = result.flow_goodput_mbps[j];
         }
@@ -475,7 +486,7 @@ pub fn run_dense(cfg: &ScenarioConfig, opts: &DenseOptions) -> DenseReport {
 
     DenseReport {
         shards: reports,
-        epochs,
+        epochs: epochs as u64,
         exchange_digest: ledger.finish_hex(),
         aggregate_goodput_mbps: aggregate,
         flow_goodput_mbps: flow_goodput,
@@ -586,22 +597,33 @@ pub fn merge_dense(report: DenseReport) -> RunResult {
     }
 }
 
-/// One shard's in-flight state during the epoch loop.
+/// One shard's in-flight state.
 struct Shard {
     bss: Vec<usize>,
     flows: Vec<usize>,
     seed: u64,
-    world: Option<World>,
+    world: World,
     ring: Option<std::sync::Arc<hack_trace::RingSink>>,
-    alive: bool,
-    events: u64,
+    /// Events dispatched in each epoch the shard ran, in epoch order.
+    deltas: Vec<u64>,
 }
 
 impl Shard {
-    fn step(&mut self, until: SimTime) {
-        if self.alive {
-            let w = self.world.as_mut().expect("world present until finish");
-            self.alive = w.run_until(until);
+    /// Run the world to its end in `epoch` steps, recording each step's
+    /// dispatched-event delta. The last step is the one in which the
+    /// world reports it is done.
+    fn run(&mut self, epoch: SimDuration) {
+        let mut t = SimTime::ZERO;
+        let mut seen = 0;
+        loop {
+            t += epoch;
+            let alive = self.world.run_until(t);
+            let now = self.world.events_dispatched();
+            self.deltas.push(now - seen);
+            seen = now;
+            if !alive {
+                return;
+            }
         }
     }
 }
