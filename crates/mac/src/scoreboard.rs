@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, VecDeque};
 use hack_phy::StationId;
 
 use crate::actions::Action;
-use crate::frame::{AckBitmap, SeqNum};
+use crate::frame::{AckBitmap, SeqNum, SEQ_SPACE};
 
 /// Per-transmitter receive state.
 #[derive(Debug)]
@@ -31,13 +31,21 @@ pub struct RxReorder<M> {
     held: BTreeMap<u16, M>,
     /// Scoreboard of received-but-possibly-undelivered seqs for BA
     /// bitmaps and duplicate detection, as distances are recomputed per
-    /// query: we keep the most recent 128 received seqs.
+    /// query: we keep the most recent 128 received seqs, oldest first.
     seen: VecDeque<SeqNum>,
+    /// Membership bit per 12-bit sequence number for the seqs in
+    /// `seen`. `seen` never holds a seq twice (only non-duplicates are
+    /// noted), so setting a bit on push and clearing it on eviction keeps
+    /// the set exact and the duplicate check O(1).
+    seen_set: [u64; SEEN_WORDS],
     /// Highest (newest) sequence number ever received.
     highest: Option<SeqNum>,
 }
 
 const SEEN_CAP: usize = 128;
+
+/// Words in the `seen` membership bitset: one bit per sequence number.
+const SEEN_WORDS: usize = SEQ_SPACE as usize / 64;
 
 impl<M> RxReorder<M> {
     /// New receive state for frames from `src`. The window starts at
@@ -52,6 +60,7 @@ impl<M> RxReorder<M> {
             win_start: SeqNum::new(0),
             held: BTreeMap::new(),
             seen: VecDeque::new(),
+            seen_set: [0; SEEN_WORDS],
             highest: None,
         }
     }
@@ -73,14 +82,18 @@ impl<M> RxReorder<M> {
 
     /// Has `seq` been received before?
     pub fn is_duplicate(&self, seq: SeqNum) -> bool {
-        self.seen.contains(&seq)
+        let v = usize::from(seq.value());
+        self.seen_set[v / 64] & (1 << (v % 64)) != 0
     }
 
     fn note_seen(&mut self, seq: SeqNum) {
         if self.seen.len() == SEEN_CAP {
-            self.seen.pop_front();
+            let old = usize::from(self.seen.pop_front().expect("full").value());
+            self.seen_set[old / 64] &= !(1 << (old % 64));
         }
         self.seen.push_back(seq);
+        let v = usize::from(seq.value());
+        self.seen_set[v / 64] |= 1 << (v % 64);
         let newer = match self.highest {
             None => true,
             Some(h) => seq.is_newer_than(h),

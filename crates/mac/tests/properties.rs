@@ -151,4 +151,46 @@ proptest! {
             prop_assert_eq!(acked, ok, "seq {}", i);
         }
     }
+
+    /// The O(1) duplicate check agrees with the 128-entry FIFO scan it
+    /// replaced, over arbitrary sequence streams: in-order runs, repeats
+    /// of recent seqs, jumps anywhere in the 12-bit space, and wrap past
+    /// 4095. The Block ACK bitmap (still built from the FIFO) agrees
+    /// too, in both ordered and immediate-delivery modes.
+    #[test]
+    fn duplicate_check_matches_fifo_model(
+        start in 3_900u16..4_096,
+        steps in proptest::collection::vec((0u8..4, 0u16..4_096), 1..600),
+        ordered in any::<bool>(),
+    ) {
+        let mut r: RxReorder<u32> = RxReorder::new(AP, ordered);
+        let mut model: std::collections::VecDeque<u16> = std::collections::VecDeque::new();
+        let mut seq = start;
+        let mut out = Vec::new();
+        for (i, &(kind, x)) in steps.iter().enumerate() {
+            seq = match kind {
+                // Mostly forward, in small steps, so the stream wraps.
+                0 | 1 => (seq + 1 + x % 3) % 4_096,
+                // A repeat of something recent (often still in the FIFO).
+                2 => (seq + 4_096 - x % 200) % 4_096,
+                _ => x,
+            };
+            let dup = model.contains(&seq);
+            prop_assert_eq!(r.is_duplicate(SeqNum::new(seq)), dup, "step {} seq {}", i, seq);
+            let new = r.on_mpdu(SeqNum::new(seq), i as u32, &mut out);
+            if dup {
+                prop_assert!(!new, "a duplicate was accepted");
+            } else {
+                if model.len() == 128 {
+                    model.pop_front();
+                }
+                model.push_back(seq);
+            }
+            let mut bm = AckBitmap::new(r.window_start());
+            for &m in &model {
+                bm.set(SeqNum::new(m));
+            }
+            prop_assert_eq!(r.ba_bitmap(), bm);
+        }
+    }
 }
