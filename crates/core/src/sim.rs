@@ -14,7 +14,7 @@
 //!   `stack_delay`; blob installs cost `dma_delay`. Both exceed SIFS,
 //!   which is why TCP ACKs must ride a *later* frame's LL ACK (§2.2).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use hack_mac::{
     Action, AssocMachine, AssocState, AssocStep, Frame, HackBlob, MacConfig, OverheardPpdu,
@@ -26,7 +26,7 @@ use hack_phy::{
 };
 use hack_rohc::DecompressStats;
 use hack_sim::{
-    QuantileSketch, Scheduler, SimDuration, SimRng, SimTime, ThroughputMeter, TimerTable,
+    FastMap, QuantileSketch, Scheduler, SimDuration, SimRng, SimTime, ThroughputMeter, TimerTable,
     TimerToken,
 };
 use hack_tcp::{Connection, FiveTuple, Ipv4Addr, Ipv4Packet, SendBudget, TcpConfig, Transport};
@@ -47,13 +47,22 @@ const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 /// latency — only a wedged HACK path trips it.
 const HELD_STALE_LIMIT: SimDuration = SimDuration::from_millis(50);
 
+/// [`World::mac_timers`] slot of `kind` at station `sid`.
+fn mac_timer_slot(sid: StationId, kind: TimerKind) -> usize {
+    sid.0 as usize * TimerKind::COUNT + kind.index()
+}
+
 fn client_sid(i: usize) -> StationId {
     StationId(1 + i as u32)
 }
 
-fn client_ip(i: usize) -> Ipv4Addr {
-    Ipv4Addr::new(192, 168, 0, 10 + i as u8)
-}
+/// First legacy client address: client *i* is 192.168.0.10 + *i*,
+/// counted on as one 32-bit number (client 246 is 192.168.1.0).
+const LEGACY_CLIENT_BASE: u32 = u32::from_be_bytes([192, 168, 0, 10]);
+
+/// First dense-world address block: flow *f* is 10.1.0.0 plus
+/// `(f / 250) << 8` plus host `f % 250 + 2`.
+const DENSE_CLIENT_BASE: u32 = u32::from_be_bytes([10, 1, 0, 0]);
 
 /// One BSS in the world: its AP station and the contiguous block of
 /// flows it serves.
@@ -162,14 +171,33 @@ impl Layout {
     }
 
     /// IP address of flow `f`'s client. Legacy worlds keep the
-    /// historical 192.168.0.x plan; dense worlds use 10.1.x.y, good for
-    /// ~64k flows.
+    /// historical 192.168.0.x plan for their first 246 clients and count
+    /// on into 192.168.1.0 and up; dense worlds use 10.1.x.y (hosts 2 to
+    /// 251) for their first 64k flows and carry into the second octet
+    /// after that. Every flow gets a distinct address.
     fn client_ip(&self, flow: usize) -> Ipv4Addr {
         if self.legacy {
-            client_ip(flow)
+            Ipv4Addr(LEGACY_CLIENT_BASE + flow as u32)
         } else {
-            Ipv4Addr::new(10, 1, (flow / 250) as u8, ((flow % 250) + 2) as u8)
+            let (block, host) = (flow / 250, flow % 250 + 2);
+            Ipv4Addr(DENSE_CLIENT_BASE + ((block as u32) << 8) + host as u32)
         }
+    }
+
+    /// The flow whose client has address `ip` — the exact inverse of
+    /// [`Layout::client_ip`] — or `None` for any other address.
+    fn flow_of_ip(&self, ip: Ipv4Addr) -> Option<usize> {
+        let flow = if self.legacy {
+            ip.0.checked_sub(LEGACY_CLIENT_BASE)? as usize
+        } else {
+            let v = ip.0.checked_sub(DENSE_CLIENT_BASE)?;
+            let host = (v & 0xff) as usize;
+            if !(2..252).contains(&host) {
+                return None;
+            }
+            (v >> 8) as usize * 250 + host - 2
+        };
+        (flow < self.n_flows()).then_some(flow)
     }
 }
 
@@ -231,8 +259,9 @@ impl Endpoint {
 
 enum Event {
     FlowStart(usize),
-    MacTimer(StationId, TimerKind, TimerToken<(u32, TimerKind)>),
-    TxEnd(TxId),
+    MacTimer(StationId, TimerKind, TimerToken<usize>),
+    /// The PPDU `TxId` sent by the station ends.
+    TxEnd(StationId, TxId),
     HostRx {
         station: StationId,
         pkt: Ipv4Packet,
@@ -251,7 +280,7 @@ enum Event {
         bytes: Vec<u8>,
         generation: u64,
     },
-    HackFlush(StationId, StationId, TimerToken<(u32, u32)>),
+    HackFlush(StationId, StationId, TimerToken<usize>),
     /// Apply scheduled channel dynamics entry `i` (index into
     /// `cfg.dynamics`).
     ChannelDynamics(usize),
@@ -306,7 +335,7 @@ impl Event {
         match self {
             Event::FlowStart(_) => 0,
             Event::MacTimer(..) => 1,
-            Event::TxEnd(_) => 2,
+            Event::TxEnd(..) => 2,
             Event::HostRx { .. } => 3,
             Event::WiredDeliver { .. } => 4,
             Event::TcpTimer(..) => 5,
@@ -353,7 +382,7 @@ struct PaceState {
     /// on-period start so a superseded tick chain dies quietly.
     tick_token: u32,
     /// Send timestamps of in-flight datagrams, keyed by ident.
-    sent_at: HashMap<u16, SimTime>,
+    sent_at: FastMap<u16, SimTime>,
     /// Send order, so lost datagrams age out of `sent_at` (bounded).
     order: VecDeque<u16>,
     /// Previous delivered datagram's one-way latency (ns), for jitter.
@@ -371,7 +400,7 @@ impl PaceState {
             on,
             ident: 0,
             tick_token: 0,
-            sent_at: HashMap::new(),
+            sent_at: FastMap::default(),
             order: VecDeque::new(),
             last_latency: None,
         }
@@ -432,23 +461,31 @@ pub struct World {
     cfg: ScenarioConfig,
     layout: Layout,
     sched: Scheduler<Event>,
-    mac_timers: TimerTable<(u32, TimerKind)>,
+    /// MAC timers, slot `station * TimerKind::COUNT + kind`.
+    mac_timers: TimerTable<usize>,
+    /// TCP retransmit timers, by endpoint.
     tcp_timers: TimerTable<u32>,
-    flush_timers: TimerTable<(u32, u32)>,
+    /// HACK flush timers, by compress-side slot (see `compress`).
+    flush_timers: TimerTable<usize>,
+    /// Supervisor probe timers, by flow.
     sup_timers: TimerTable<u32>,
     /// One supervisor per flow; empty when supervision is off.
     supervisors: Vec<FlowSupervisor>,
     medium: Medium,
     stations: Vec<Station<NetPacket>>,
-    compress: HashMap<(u32, u32), CompressSide>,
+    /// Compress-side drivers, two per flow: slot `2f` is the client's
+    /// (toward its AP), slot `2f + 1` the AP's (toward the client). Each
+    /// slot records the AP it is currently keyed to, which moves on a
+    /// roam (see [`World::compress_slot`]).
+    compress: Vec<(StationId, CompressSide)>,
     decompress: Vec<DecompressSide>,
-    tx_payloads: HashMap<TxId, (Vec<Frame<NetPacket>>, bool, StationId)>,
+    /// The frames of each station's in-flight PPDU (a station has at
+    /// most one on the air), with its id and aggregation flag.
+    tx_payloads: Vec<Option<(TxId, Vec<Frame<NetPacket>>, bool)>>,
     /// One backhaul per cell (legacy worlds: exactly one).
     wired: Vec<WiredLink>,
     endpoints: Vec<Endpoint>,
-    ep_by_tuple: HashMap<FiveTuple, usize>,
-    /// Client IP → flow index (replaces the per-packet linear scan).
-    ip_to_flow: HashMap<Ipv4Addr, usize>,
+    ep_by_tuple: FastMap<FiveTuple, usize>,
     meters: Vec<ThroughputMeter>,
     flow_start_at: Vec<SimTime>,
     /// Per-flow traffic runtime (model, endpoint range, restart/pacing
@@ -686,7 +723,7 @@ impl World {
             .collect();
 
         // --- HACK drivers ---
-        let mut compress = HashMap::new();
+        let mut compress = Vec::with_capacity(2 * n);
         let decompress: Vec<DecompressSide> = station_ids
             .iter()
             .map(|&sid| {
@@ -708,7 +745,7 @@ impl World {
             if supervised {
                 cs.set_stale_limit(Some(HELD_STALE_LIMIT));
             }
-            compress.insert((c.0, ap.0), cs);
+            compress.push((ap, cs));
             // …and the AP toward each client (uploads) — symmetric design.
             let mut cs = CompressSide::new(cfg.hack_mode);
             cs.set_trace(trace.clone(), ap.0);
@@ -716,7 +753,7 @@ impl World {
             if supervised {
                 cs.set_stale_limit(Some(HELD_STALE_LIMIT));
             }
-            compress.insert((ap.0, c.0), cs);
+            compress.push((ap, cs));
         }
         let supervisors: Vec<FlowSupervisor> = if supervised {
             let sup_cfg = cfg.supervisor.expect("checked");
@@ -727,7 +764,7 @@ impl World {
 
         // --- endpoints ---
         let mut endpoints = Vec::new();
-        let mut ep_by_tuple = HashMap::new();
+        let mut ep_by_tuple = FastMap::default();
         let mut meters = Vec::new();
         let mut flow_start_at = Vec::new();
         let base_start = SimTime::from_millis(10);
@@ -743,7 +780,7 @@ impl World {
         #[allow(clippy::too_many_arguments)]
         fn push_pair(
             endpoints: &mut Vec<Endpoint>,
-            ep_by_tuple: &mut HashMap<FiveTuple, usize>,
+            ep_by_tuple: &mut FastMap<FiveTuple, usize>,
             trace: &TraceHandle,
             tcp_cfg: &TcpConfig,
             layout: &Layout,
@@ -922,7 +959,6 @@ impl World {
         }
 
         let end = SimTime::ZERO + cfg.duration;
-        let ip_to_flow = (0..n).map(|f| (layout.client_ip(f), f)).collect();
         let wired = (0..layout.cells.len())
             .map(|_| WiredLink::paper_backhaul())
             .collect();
@@ -937,11 +973,10 @@ impl World {
             stations,
             compress,
             decompress,
-            tx_payloads: HashMap::new(),
+            tx_payloads: (0..station_ids.len()).map(|_| None).collect(),
             wired,
             endpoints,
             ep_by_tuple,
-            ip_to_flow,
             meters,
             flow_start_at: flow_start_at.clone(),
             flows: flows_rt,
@@ -1012,13 +1047,12 @@ impl World {
                 // Permanent clean fallback on this link: the MAC already
                 // gates blobs, but force the drivers native too so ACKs
                 // are never held against a peer that cannot decode them.
-                for key in [(c.0, ap.0), (ap.0, c.0)] {
+                for (a, b) in [(c, ap), (ap, c)] {
                     let dacts = world
-                        .compress
-                        .get_mut(&key)
+                        .compress_mut(a, b)
                         .expect("driver exists")
                         .force_native(SimTime::ZERO);
-                    world.apply_driver(StationId(key.0), StationId(key.1), dacts, SimTime::ZERO);
+                    world.apply_driver(a, b, dacts, SimTime::ZERO);
                 }
                 if !world.supervisors.is_empty() {
                     let acts = world.supervisors[i].mark_peer_incapable();
@@ -1130,7 +1164,7 @@ impl World {
                     }
                 }
             }
-            Event::TxEnd(id) => self.on_tx_end(id, now),
+            Event::TxEnd(src, id) => self.on_tx_end(src, id, now),
             Event::HostRx {
                 station,
                 pkt,
@@ -1186,7 +1220,7 @@ impl World {
             } => {
                 // No driver for this key: the association was re-keyed to
                 // a new AP while the install waited out the DMA delay.
-                let Some(side) = self.compress.get_mut(&(station.0, peer.0)) else {
+                let Some(side) = self.compress_mut(station, peer) else {
                     return;
                 };
                 if side.generation() == generation {
@@ -1202,8 +1236,7 @@ impl World {
                     let displaced =
                         self.stations[station.0 as usize].set_hack_blob(peer, HackBlob { bytes });
                     if let Some(old) = displaced {
-                        self.compress
-                            .get_mut(&(station.0, peer.0))
+                        self.compress_mut(station, peer)
                             .expect("driver exists")
                             .recycle_blob(old.bytes);
                     }
@@ -1218,7 +1251,7 @@ impl World {
                 if self.flush_timers.fire(token) {
                     // The key may have moved to a new AP mid-roam; the
                     // force-native flush already emptied the hold queue.
-                    if let Some(side) = self.compress.get_mut(&(station.0, peer.0)) {
+                    if let Some(side) = self.compress_mut(station, peer) {
                         let dacts = side.on_flush_timer(now);
                         self.apply_driver(station, peer, dacts, now);
                     }
@@ -1403,10 +1436,10 @@ impl World {
         //    re-injected post-roam) — never silently dropped, and holds
         //    that already rode a response were delivered, so no ACK is
         //    ever delivered twice either.
-        for key in [(client.0, old_ap.0), (old_ap.0, client.0)] {
-            if let Some(side) = self.compress.get_mut(&key) {
+        for (a, b) in [(client, old_ap), (old_ap, client)] {
+            if let Some(side) = self.compress_mut(a, b) {
                 let dacts = side.force_native(now);
-                self.apply_driver(StationId(key.0), StationId(key.1), dacts, now);
+                self.apply_driver(a, b, dacts, now);
             }
         }
         // 2) The old association's ROHC contexts die with it: decoding
@@ -1416,8 +1449,8 @@ impl World {
         let new_ap = self.layout.cells[target].ap;
         for fwd in self.client_tuples(flow) {
             let rev = fwd.reversed();
-            for key in [(client.0, old_ap.0), (old_ap.0, client.0)] {
-                if let Some(side) = self.compress.get_mut(&key) {
+            for (a, b) in [(client, old_ap), (old_ap, client)] {
+                if let Some(side) = self.compress_mut(a, b) {
                     side.drop_context(&fwd);
                     side.drop_context(&rev);
                 }
@@ -1555,12 +1588,13 @@ impl World {
         // sides are re-keyed to the new AP. Stats survive the move; the
         // ROHC contexts were already dropped at disassociation.
         if new_ap != old_ap {
-            if let Some(side) = self.compress.remove(&(client.0, old_ap.0)) {
-                self.compress.insert((client.0, new_ap.0), side);
+            if let Some(slot) = self.compress_slot(client, old_ap) {
+                self.compress[slot].0 = new_ap;
             }
-            if let Some(mut side) = self.compress.remove(&(old_ap.0, client.0)) {
+            if let Some(slot) = self.compress_slot(old_ap, client) {
+                let (ap, side) = &mut self.compress[slot];
+                *ap = new_ap;
                 side.set_trace(self.trace.clone(), new_ap.0);
-                self.compress.insert((new_ap.0, client.0), side);
             }
         }
         // Retune the radio: the client joins the new cell's interference
@@ -1594,10 +1628,10 @@ impl World {
         if !negotiated {
             // Incapable new AP: the drivers must never hold an ACK
             // against a peer that cannot decode it.
-            for key in [(client.0, new_ap.0), (new_ap.0, client.0)] {
-                if let Some(side) = self.compress.get_mut(&key) {
+            for (a, b) in [(client, new_ap), (new_ap, client)] {
+                if let Some(side) = self.compress_mut(a, b) {
                     let dacts = side.force_native(now);
-                    self.apply_driver(StationId(key.0), StationId(key.1), dacts, now);
+                    self.apply_driver(a, b, dacts, now);
                 }
             }
         }
@@ -1731,8 +1765,8 @@ impl World {
             self.endpoints[ep].timer_at = None;
             self.tcp_timers.cancel(ep as u32);
         }
-        for key in [(client_sid.0, cur_ap.0), (cur_ap.0, client_sid.0)] {
-            if let Some(side) = self.compress.get_mut(&key) {
+        for (a, b) in [(client_sid, cur_ap), (cur_ap, client_sid)] {
+            if let Some(side) = self.compress_mut(a, b) {
                 side.drop_context(&old);
                 side.drop_context(&old_rev);
             }
@@ -1950,8 +1984,10 @@ impl World {
         }
     }
 
-    fn on_tx_end(&mut self, id: TxId, now: SimTime) {
-        let (frames, aggregated, src) = self.tx_payloads.remove(&id).expect("tx payload");
+    fn on_tx_end(&mut self, src: StationId, id: TxId, now: SimTime) {
+        let (sent, frames, aggregated) =
+            self.tx_payloads[src.0 as usize].take().expect("tx payload");
+        debug_assert_eq!(sent, id, "one PPDU in flight per station");
         let outcome = self.medium.end_tx(id, now, &mut self.rng);
 
         // 1) Receptions (before idle edges: NAV first). The addressee
@@ -2092,12 +2128,12 @@ impl World {
             match act {
                 Action::StartTx(desc) => self.start_tx(sid, desc, now),
                 Action::SetTimer { kind, at } => {
-                    let token = self.mac_timers.arm((sid.0, kind));
+                    let token = self.mac_timers.arm(mac_timer_slot(sid, kind));
                     self.sched
                         .schedule_at(at.max(now), Event::MacTimer(sid, kind, token));
                 }
                 Action::CancelTimer { kind } => {
-                    self.mac_timers.cancel((sid.0, kind));
+                    self.mac_timers.cancel(mac_timer_slot(sid, kind));
                 }
                 Action::Deliver { src: _, msdu } => {
                     self.sched.schedule_at(
@@ -2110,8 +2146,7 @@ impl World {
                     );
                 }
                 Action::DataReceived(info) => {
-                    let key = (sid.0, info.from.0);
-                    if let Some(side) = self.compress.get_mut(&key) {
+                    if let Some(side) = self.compress_mut(sid, info.from) {
                         let dacts = side.on_data_received(&info, now);
                         self.apply_driver(sid, info.from, dacts, now);
                         self.drain_driver_health(sid, info.from, now);
@@ -2122,8 +2157,7 @@ impl World {
                     kind: _,
                     attached_blob,
                 } => {
-                    let key = (sid.0, to.0);
-                    if let Some(side) = self.compress.get_mut(&key) {
+                    if let Some(side) = self.compress_mut(sid, to) {
                         let dacts = side.on_response_sent(attached_blob, now);
                         // Opportunistic: withdraw native twins that rode.
                         if side.mode() == HackMode::Opportunistic && attached_blob {
@@ -2194,8 +2228,7 @@ impl World {
                     }
                     // Delivered natives advance the compressor floor (and
                     // in Opportunistic mode cancel held twins).
-                    let key = (sid.0, from.0);
-                    if let Some(side) = self.compress.get_mut(&key) {
+                    if let Some(side) = self.compress_mut(sid, from) {
                         // The driver ignores non-ACK MSDUs itself, so the
                         // batch passes through without a filtered clone.
                         if acked_msdus.iter().any(|m| m.is_pure_tcp_ack()) {
@@ -2242,10 +2275,9 @@ impl World {
             duration: desc.duration,
         };
         let id = self.medium.begin_tx(meta, now);
-        self.tx_payloads
-            .insert(id, (desc.frames, desc.aggregated, sid));
+        self.tx_payloads[sid.0 as usize] = Some((id, desc.frames, desc.aggregated));
         self.sched
-            .schedule_at(now + desc.duration, Event::TxEnd(id));
+            .schedule_at(now + desc.duration, Event::TxEnd(sid, id));
         // Carrier sense: everyone in an interfering domain hears the
         // medium go busy (every station, on legacy single-domain worlds).
         let d = self.medium.domain_of(sid);
@@ -2285,20 +2317,20 @@ impl World {
                 DriverAction::ClearBlob => {
                     let removed = self.stations[sid.0 as usize].clear_hack_blob(peer);
                     if let Some(old) = removed {
-                        if let Some(side) = self.compress.get_mut(&(sid.0, peer.0)) {
+                        if let Some(side) = self.compress_mut(sid, peer) {
                             side.recycle_blob(old.bytes);
                         }
                     }
                 }
                 DriverAction::SetFlushTimer(at) => {
-                    let token = self.flush_timers.arm((sid.0, peer.0));
+                    let token = self.flush_timers.arm(self.flush_slot(sid, peer));
                     self.sched
                         .schedule_at(at.max(now), Event::HackFlush(sid, peer, token));
                 }
                 DriverAction::CancelFlushTimer => {
                     // The scheduled HackFlush event still fires but its
                     // token is now stale and it is dropped silently.
-                    self.flush_timers.cancel((sid.0, peer.0));
+                    self.flush_timers.cancel(self.flush_slot(sid, peer));
                 }
             }
         }
@@ -2335,7 +2367,7 @@ impl World {
         let Some(flow) = self.sup_flow(sid, peer) else {
             return;
         };
-        let Some(side) = self.compress.get_mut(&(sid.0, peer.0)) else {
+        let Some(side) = self.compress_mut(sid, peer) else {
             return;
         };
         let health = side.drain_health();
@@ -2356,19 +2388,17 @@ impl World {
         for act in actions {
             match act {
                 SupervisorAction::ForceNative => {
-                    for key in [(client.0, ap.0), (ap.0, client.0)] {
+                    for (a, b) in [(client, ap), (ap, client)] {
                         let dacts = self
-                            .compress
-                            .get_mut(&key)
+                            .compress_mut(a, b)
                             .expect("driver exists")
                             .force_native(now);
-                        self.apply_driver(StationId(key.0), StationId(key.1), dacts, now);
+                        self.apply_driver(a, b, dacts, now);
                     }
                 }
                 SupervisorAction::ReenableHack => {
-                    for key in [(client.0, ap.0), (ap.0, client.0)] {
-                        self.compress
-                            .get_mut(&key)
+                    for (a, b) in [(client, ap), (ap, client)] {
+                        self.compress_mut(a, b)
                             .expect("driver exists")
                             .resume_hack();
                     }
@@ -2380,8 +2410,8 @@ impl World {
                     // ACK re-seeds them from scratch.
                     for fwd in self.client_tuples(flow) {
                         let rev = fwd.reversed();
-                        for key in [(client.0, ap.0), (ap.0, client.0)] {
-                            if let Some(side) = self.compress.get_mut(&key) {
+                        for (a, b) in [(client, ap), (ap, client)] {
+                            if let Some(side) = self.compress_mut(a, b) {
                                 side.drop_context(&fwd);
                                 side.drop_context(&rev);
                             }
@@ -2570,13 +2600,13 @@ impl World {
     /// node's compress-side driver.
     fn wireless_out(&mut self, sid: StationId, peer: StationId, pkt: Ipv4Packet, now: SimTime) {
         let is_ack = matches!(&pkt.transport, Transport::Tcp(t) if t.is_pure_ack());
-        let key = (sid.0, peer.0);
-        if is_ack && self.compress.contains_key(&key) {
-            let dacts = self
-                .compress
-                .get_mut(&key)
-                .expect("checked")
-                .on_ack_out(pkt, now);
+        let side = if is_ack {
+            self.compress_mut(sid, peer)
+        } else {
+            None
+        };
+        if let Some(side) = side {
+            let dacts = side.on_ack_out(pkt, now);
             self.apply_driver(sid, peer, dacts, now);
             self.drain_driver_health(sid, peer, now);
         } else {
@@ -2620,7 +2650,38 @@ impl World {
     }
 
     fn flow_of_client_ip(&self, ip: Ipv4Addr) -> Option<usize> {
-        self.ip_to_flow.get(&ip).copied()
+        self.layout.flow_of_ip(ip)
+    }
+
+    /// The compress-side slot of the (flow, direction) that a `(station,
+    /// peer)` pair names, whichever AP it is keyed to: `2f` when
+    /// `station` is flow `f`'s client, `2f + 1` when `peer` is.
+    fn flow_slot(&self, station: StationId, peer: StationId) -> Option<usize> {
+        match self.layout.flow_of_client(station) {
+            Some(f) => Some(2 * f),
+            None => self.layout.flow_of_client(peer).map(|f| 2 * f + 1),
+        }
+    }
+
+    /// The slot of the compress side `station` runs toward `peer`, if one
+    /// exists: the pair's (flow, direction) slot, provided it is keyed to
+    /// that AP right now (a roam re-keys it, so the old AP misses).
+    fn compress_slot(&self, station: StationId, peer: StationId) -> Option<usize> {
+        let slot = self.flow_slot(station, peer)?;
+        let ap = if slot % 2 == 0 { peer } else { station };
+        (self.compress[slot].0 == ap).then_some(slot)
+    }
+
+    fn compress_mut(&mut self, station: StationId, peer: StationId) -> Option<&mut CompressSide> {
+        let slot = self.compress_slot(station, peer)?;
+        Some(&mut self.compress[slot].1)
+    }
+
+    /// Flush-timer slot for the compress side `station` runs toward
+    /// `peer`. Only called with a pair whose driver just acted.
+    fn flush_slot(&self, station: StationId, peer: StationId) -> usize {
+        self.flow_slot(station, peer)
+            .expect("driver pair names a flow")
     }
 
     /// Five-tuples of `flow`'s client-side endpoints (the TCP
@@ -2828,14 +2889,12 @@ impl World {
         for i in 0..n {
             // Roam-aware: the flow's driver is keyed to whichever AP it
             // ended the run associated with.
-            let client = self.layout.client(i).0;
-            let ap = self.cur_ap_of_flow(i).0;
-            let side = &self.compress[&(client, ap)];
+            let side = &self.compress[2 * i].1;
             driver.push(side.stats().clone());
             compressor.push(side.compressor_stats().clone());
             // The AP-side driver of the same association — the holder of
             // upload/bidirectional reverse-path ACKs.
-            driver_ap.push(self.compress[&(ap, client)].stats().clone());
+            driver_ap.push(self.compress[2 * i + 1].1.stats().clone());
         }
         let within: u64 = mac.iter().map(|m| m.blob_within_aifs.get()).sum();
         let beyond: u64 = mac.iter().map(|m| m.blob_beyond_aifs.get()).sum();
@@ -2951,4 +3010,75 @@ pub fn run(cfg: ScenarioConfig) -> RunResult {
 /// that in new code).
 pub fn run_traced(cfg: ScenarioConfig, trace: TraceHandle) -> RunResult {
     World::builder(cfg).trace(trace).run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::BssSpec;
+
+    fn legacy(n: usize) -> Layout {
+        Layout::from_cfg(&ScenarioConfig::builder().clients(n).build())
+    }
+
+    #[test]
+    fn legacy_addresses_keep_the_historical_plan() {
+        let l = legacy(3);
+        assert_eq!(l.client_ip(0), Ipv4Addr::new(192, 168, 0, 10));
+        assert_eq!(l.client_ip(2), Ipv4Addr::new(192, 168, 0, 12));
+        let big = legacy(300);
+        assert_eq!(big.client_ip(245), Ipv4Addr::new(192, 168, 0, 255));
+        assert_eq!(big.client_ip(246), Ipv4Addr::new(192, 168, 1, 0));
+    }
+
+    #[test]
+    fn client_addresses_are_unique_and_invert() {
+        let n = 5_000;
+        let dense = Layout::from_cfg(
+            &ScenarioConfig::builder()
+                .bss(vec![BssSpec {
+                    x: 0.0,
+                    y: 0.0,
+                    channel: 1,
+                    n_clients: n,
+                }])
+                .build(),
+        );
+        for layout in [legacy(n), dense] {
+            let mut seen = std::collections::HashSet::new();
+            for f in 0..n {
+                let ip = layout.client_ip(f);
+                assert!(seen.insert(ip), "flow {f} reuses {ip}");
+                assert_eq!(layout.flow_of_ip(ip), Some(f), "{ip}");
+            }
+            // Any other address maps to no flow.
+            assert_eq!(layout.flow_of_ip(SERVER_IP), None);
+            assert_eq!(layout.flow_of_ip(Ipv4Addr(u32::MAX)), None);
+            assert_eq!(layout.flow_of_ip(Ipv4Addr(0)), None);
+            let past = Ipv4Addr(layout.client_ip(n - 1).0 + 1);
+            assert_eq!(layout.flow_of_ip(past), None);
+        }
+        let d = Layout::from_cfg(
+            &ScenarioConfig::builder()
+                .bss(BssSpec::enterprise_floor(1, 300))
+                .build(),
+        );
+        // Dense host numbers stop at .251: .0, .1 and .252 name no client.
+        for host in [0, 1, 252, 255] {
+            assert_eq!(d.flow_of_ip(Ipv4Addr::new(10, 1, 0, host)), None);
+        }
+        assert_eq!(d.flow_of_ip(Ipv4Addr::new(10, 1, 1, 2)), Some(250));
+    }
+
+    /// A legacy cell past 245 clients used to overflow the last address
+    /// octet: a panic in debug builds, aliased addresses in release.
+    #[test]
+    fn large_legacy_cell_builds() {
+        let cfg = ScenarioConfig::builder()
+            .clients(300)
+            .duration(SimDuration::from_millis(1))
+            .build();
+        let w = World::builder(cfg).build();
+        assert_eq!(w.layout.n_flows(), 300);
+    }
 }

@@ -27,6 +27,21 @@ pub enum TimerKind {
     NavExpire,
 }
 
+impl TimerKind {
+    /// Number of timer kinds.
+    pub const COUNT: usize = 4;
+
+    /// Dense index of the kind, in `0..COUNT`.
+    pub fn index(self) -> usize {
+        match self {
+            TimerKind::TxStart => 0,
+            TimerKind::AckTimeout => 1,
+            TimerKind::SendResponse => 2,
+            TimerKind::NavExpire => 3,
+        }
+    }
+}
+
 /// What kind of response a station transmitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RespKind {

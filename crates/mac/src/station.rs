@@ -21,10 +21,8 @@
 //!   instant (the event loop guarantees this), so NAV is always set
 //!   before contention resumes.
 
-use std::collections::HashMap;
-
 use hack_phy::StationId;
-use hack_sim::{SimDuration, SimRng, SimTime};
+use hack_sim::{FastMap, SimDuration, SimRng, SimTime};
 use hack_trace::{trace_ev, Event, TraceHandle};
 
 use crate::actions::{Action, OverheardPpdu, RespKind, RxDataInfo, TimerKind, TxDescriptor};
@@ -72,7 +70,7 @@ pub struct Station<M: Msdu> {
 
     // ---- transmit pipeline ----
     queues: Vec<DestQueue<M>>,
-    by_dst: HashMap<StationId, usize>,
+    by_dst: FastMap<StationId, usize>,
     rr_cursor: usize,
     contention: Contention,
     /// When the current head-of-line work became pending.
@@ -85,7 +83,7 @@ pub struct Station<M: Msdu> {
     wait_response: Option<Exchange>,
 
     // ---- receive / respond ----
-    reorder: HashMap<StationId, RxReorder<M>>,
+    reorder: FastMap<StationId, RxReorder<M>>,
     pending_response: Option<RespPlan>,
     response_in_flight: bool,
 
@@ -97,12 +95,12 @@ pub struct Station<M: Msdu> {
     // ---- HACK NIC slots ----
     /// The compressed-TCP-ACK frames the driver has made "ready", one
     /// descriptor chain per destination address (§3.3.1, Figure 3).
-    hack_blobs: HashMap<StationId, HackBlob>,
+    hack_blobs: FastMap<StationId, HackBlob>,
     /// Association-time negotiation outcome per peer: whether HACK
     /// engaged on that link. Absent = never associated (pre-negotiation
     /// links behave as HACK-capable for back-compat with direct driver
     /// wiring).
-    peer_caps: HashMap<StationId, bool>,
+    peer_caps: FastMap<StationId, bool>,
 
     stats: MacStats,
     trace: TraceHandle,
@@ -119,20 +117,20 @@ impl<M: Msdu> Station<M> {
             cfg,
             rng,
             queues: Vec::new(),
-            by_dst: HashMap::new(),
+            by_dst: FastMap::default(),
             rr_cursor: 0,
             work_since: None,
             tx_at: None,
             in_flight: None,
             wait_response: None,
-            reorder: HashMap::new(),
+            reorder: FastMap::default(),
             pending_response: None,
             response_in_flight: false,
             phys_busy: false,
             idle_since: SimTime::ZERO,
             nav_until: SimTime::ZERO,
-            hack_blobs: HashMap::new(),
-            peer_caps: HashMap::new(),
+            hack_blobs: FastMap::default(),
+            peer_caps: FastMap::default(),
             stats: MacStats::default(),
             trace: TraceHandle::off(),
         }

@@ -42,10 +42,9 @@
 //! is the HACK blob extension of a control frame, which is exactly the
 //! input the ROHC CRC-3 / context-repair path (§3.3.2) exists to absorb.
 
-use std::collections::HashMap;
 use std::ops::Range;
 
-use hack_sim::{SimRng, SimTime};
+use hack_sim::{FastMap, SimRng, SimTime};
 use hack_trace::{Event, TraceHandle};
 
 use crate::channel::Channel;
@@ -196,8 +195,9 @@ pub struct Medium {
     /// Per domain `d`: the stations (in `stations` order) whose domain
     /// hears `d` — the only candidates `end_tx` computes receptions for.
     listeners: Vec<Vec<StationId>>,
-    /// Station id → index into `stations` / `domains`.
-    index: HashMap<u32, usize>,
+    /// Station id → index into `stations` / `domains`
+    /// ([`UNREGISTERED`] for ids with no station).
+    index: Vec<usize>,
     loss: LossModel,
     channel: Option<Channel>,
     active: Vec<ActiveTx>,
@@ -208,11 +208,11 @@ pub struct Medium {
     completed: u64,
     /// Gilbert–Elliott bad-state flags, one per unordered link, advanced
     /// one step per MPDU heard on that link.
-    ge: HashMap<(u32, u32), bool>,
+    ge: FastMap<(u32, u32), bool>,
     /// Per-station loss overrides *composed* on top of the burst/SNR
     /// models by mid-run [`Medium::set_station_loss`] steps (the fixed
     /// models mutate their own table instead).
-    extra_loss: HashMap<StationId, f64>,
+    extra_loss: FastMap<StationId, f64>,
     /// Mid-run loss steps applied (fixed mutations and compositions).
     loss_overrides: u64,
     /// Corrupted-delivery knobs (`None` = plain drops).
@@ -222,6 +222,9 @@ pub struct Medium {
     snr_offset_db: f64,
     trace: TraceHandle,
 }
+
+/// `Medium::index` entry of a station id that was never registered.
+const UNREGISTERED: usize = usize::MAX;
 
 /// Unordered link key for per-link channel state.
 fn link_key(a: StationId, b: StationId) -> (u32, u32) {
@@ -297,7 +300,11 @@ impl Medium {
                     .collect()
             })
             .collect();
-        let index = stations.iter().enumerate().map(|(i, s)| (s.0, i)).collect();
+        let mut index =
+            vec![UNREGISTERED; stations.iter().map(|s| s.0 as usize + 1).max().unwrap_or(0)];
+        for (i, s) in stations.iter().enumerate() {
+            index[s.0 as usize] = i;
+        }
         Medium {
             stations,
             domains,
@@ -310,8 +317,8 @@ impl Medium {
             next_id: 0,
             collisions: 0,
             completed: 0,
-            ge: HashMap::new(),
-            extra_loss: HashMap::new(),
+            ge: FastMap::default(),
+            extra_loss: FastMap::default(),
             loss_overrides: 0,
             corrupt: None,
             snr_offset_db: 0.0,
@@ -364,7 +371,7 @@ impl Medium {
             (domain as usize) < self.graph.len(),
             "station domain out of range for the interference graph"
         );
-        let i = self.index[&station.0];
+        let i = self.slot(station).expect("registered station");
         if self.domains[i] == domain {
             return;
         }
@@ -452,12 +459,21 @@ impl Medium {
             .any(|t| self.graph.interferes(t.domain, d))
     }
 
+    /// Index of `station` in `stations` / `domains`, if registered.
+    #[inline]
+    fn slot(&self, station: StationId) -> Option<usize> {
+        self.index
+            .get(station.0 as usize)
+            .copied()
+            .filter(|&i| i != UNREGISTERED)
+    }
+
     /// Interference domain of `station`.
     ///
     /// # Panics
     /// Panics if `station` is not registered.
     pub fn domain_of(&self, station: StationId) -> u32 {
-        self.domains[self.index[&station.0]]
+        self.domains[self.slot(station).expect("registered station")]
     }
 
     /// The stations (in registration order) that hear transmissions from
@@ -502,8 +518,8 @@ impl Medium {
     /// Panics if `src` is already transmitting (a MAC bug) or is not a
     /// registered station.
     pub fn begin_tx(&mut self, meta: PpduMeta, now: SimTime) -> TxId {
-        let domain = match self.index.get(&meta.src.0) {
-            Some(&i) => self.domains[i],
+        let domain = match self.slot(meta.src) {
+            Some(i) => self.domains[i],
             None => panic!("unknown station {:?}", meta.src),
         };
         assert!(

@@ -8,9 +8,10 @@
 //! * a FIFO-tiebroken [`EventQueue`] and clock-advancing [`Scheduler`]
 //!   ([`queue`]),
 //! * lazily-cancellable timers ([`timer`]),
-//! * a seeded, forkable RNG ([`rng`]), and
-//! * measurement primitives for the paper's metrics ([`stats`]) plus a
-//!   zero-cost-when-off tracer ([`mod@trace`]).
+//! * a seeded, forkable RNG ([`rng`]),
+//! * a fixed multiply-xor hasher for simulator-made map keys
+//!   ([`fasthash`]), and
+//! * measurement primitives for the paper's metrics ([`stats`]).
 //!
 //! The protocol crates (`hack-mac`, `hack-tcp`, `hack-core`) are written
 //! sans-IO: they never talk to this engine directly, they merely return
@@ -22,13 +23,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fasthash;
 pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod timer;
-pub mod trace;
 
+pub use fasthash::{FastHasher, FastMap};
 pub use queue::{CalendarQueue, EventQueue, HeapEventQueue, QueueKind, Scheduler};
 pub use rng::SimRng;
 pub use stats::{
@@ -36,8 +38,7 @@ pub use stats::{
     SKETCH_BUCKETS,
 };
 pub use time::{SimDuration, SimTime};
-pub use timer::{TimerTable, TimerToken};
-pub use trace::{Level, Tracer};
+pub use timer::{TimerKey, TimerTable, TimerToken};
 
 /// The structured cross-layer event-tracing layer (re-exported so
 /// simulation drivers need only depend on `hack-sim`).

@@ -8,9 +8,33 @@
 //! [`TimerTable::fire`] whether the token is still current — stale tokens
 //! are dropped silently. This is the same pattern used by most production
 //! discrete-event engines (including ns-3's `EventId::IsExpired`).
+//!
+//! Timer keys are dense indices ([`TimerKey::slot`]): a station, an
+//! endpoint, a flow, or one of them times a small fixed count. The
+//! generation table is therefore a plain `Vec` indexed by slot, so arming,
+//! cancelling and firing cost one bounds-checked array access each.
 
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::marker::PhantomData;
+
+/// A logical timer key that names one slot of a [`TimerTable`]. Slots
+/// should be dense (small and mostly used): the table grows to the
+/// largest slot ever armed.
+pub trait TimerKey: Copy {
+    /// The key's slot in the generation table.
+    fn slot(self) -> usize;
+}
+
+macro_rules! int_timer_key {
+    ($($t:ty),*) => {$(
+        impl TimerKey for $t {
+            #[inline]
+            fn slot(self) -> usize {
+                self as usize
+            }
+        }
+    )*};
+}
+int_timer_key!(u8, u16, u32, usize);
 
 /// A handle embedded in a scheduled event identifying one arming of one
 /// logical timer.
@@ -30,30 +54,37 @@ impl<K: Copy> TimerToken<K> {
 /// Tracks the current generation of every logical timer key.
 #[derive(Debug)]
 pub struct TimerTable<K> {
-    generations: HashMap<K, u64>,
+    /// Current generation per slot; 0 = never armed.
+    generations: Vec<u64>,
     /// Number of stale tokens dropped at fire time (observability).
     stale_fired: u64,
+    _key: PhantomData<K>,
 }
 
-impl<K: Eq + Hash + Copy> Default for TimerTable<K> {
+impl<K: TimerKey> Default for TimerTable<K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Eq + Hash + Copy> TimerTable<K> {
+impl<K: TimerKey> TimerTable<K> {
     /// Create an empty table.
     pub fn new() -> Self {
         TimerTable {
-            generations: HashMap::new(),
+            generations: Vec::new(),
             stale_fired: 0,
+            _key: PhantomData,
         }
     }
 
     /// Arm (or re-arm) the timer `key`, invalidating any previously armed
     /// instance, and return the token to embed in the scheduled event.
     pub fn arm(&mut self, key: K) -> TimerToken<K> {
-        let entry = self.generations.entry(key).or_insert(0);
+        let slot = key.slot();
+        if slot >= self.generations.len() {
+            self.generations.resize(slot + 1, 0);
+        }
+        let entry = &mut self.generations[slot];
         *entry += 1;
         TimerToken {
             key,
@@ -64,7 +95,7 @@ impl<K: Eq + Hash + Copy> TimerTable<K> {
     /// Cancel the timer `key`. Any outstanding token becomes stale. Safe to
     /// call when the timer was never armed.
     pub fn cancel(&mut self, key: K) {
-        if let Some(generation) = self.generations.get_mut(&key) {
+        if let Some(generation) = self.generations.get_mut(key.slot()) {
             *generation += 1;
         }
     }
@@ -73,7 +104,7 @@ impl<K: Eq + Hash + Copy> TimerTable<K> {
     /// token is current (the handler should run) and consumes the arming so
     /// a second delivery of the same token is stale.
     pub fn fire(&mut self, token: TimerToken<K>) -> bool {
-        match self.generations.get_mut(&token.key) {
+        match self.generations.get_mut(token.key.slot()) {
             Some(generation) if *generation == token.generation => {
                 // Consume: a fired one-shot timer is no longer pending.
                 *generation += 1;
@@ -88,7 +119,7 @@ impl<K: Eq + Hash + Copy> TimerTable<K> {
 
     /// Whether `token` would currently fire (without consuming it).
     pub fn is_current(&self, token: &TimerToken<K>) -> bool {
-        self.generations.get(&token.key) == Some(&token.generation)
+        self.generations.get(token.key.slot()) == Some(&token.generation)
     }
 
     /// Number of stale tokens observed at fire time so far.
@@ -105,6 +136,12 @@ mod tests {
     enum Key {
         AckTimeout,
         Slot,
+    }
+
+    impl TimerKey for Key {
+        fn slot(self) -> usize {
+            self as usize
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@ use hack_sim::{
     TimerTable,
 };
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 proptest! {
     /// Differential test: the calendar queue and the binary heap pop the
@@ -149,6 +150,55 @@ proptest! {
             }
         }
         prop_assert_eq!(fired, u32::from(!cancelled && latest.is_some()));
+    }
+
+    /// The index-addressed timer table agrees with a `HashMap` generation
+    /// model (the table's previous representation) on every fire and
+    /// every currency check, over arbitrary arm / cancel / fire sequences
+    /// on several keys, including cancels of never-armed keys below and
+    /// above the largest armed slot and repeated fires of one token.
+    #[test]
+    fn timer_table_matches_hashmap_model(
+        ops in proptest::collection::vec((0u8..3, 0u8..6, any::<u16>()), 1..200),
+    ) {
+        let mut table: TimerTable<u8> = TimerTable::new();
+        let mut model: HashMap<u8, u64> = HashMap::new();
+        // Every token handed out so far: (table token, model key, model generation).
+        let mut tokens: Vec<(hack_sim::TimerToken<u8>, u8, u64)> = Vec::new();
+        for (op, key, pick) in ops {
+            match op {
+                0 => {
+                    let tok = table.arm(key);
+                    let g = model.entry(key).or_insert(0);
+                    *g += 1;
+                    prop_assert_eq!(tok.key(), key);
+                    tokens.push((tok, key, *g));
+                }
+                1 => {
+                    table.cancel(key);
+                    if let Some(g) = model.get_mut(&key) {
+                        *g += 1;
+                    }
+                }
+                _ => {
+                    if tokens.is_empty() {
+                        continue;
+                    }
+                    let (tok, k, g) = tokens[usize::from(pick) % tokens.len()];
+                    let expect = match model.get_mut(&k) {
+                        Some(cur) if *cur == g => {
+                            *cur += 1;
+                            true
+                        }
+                        _ => false,
+                    };
+                    prop_assert_eq!(table.fire(tok), expect);
+                }
+            }
+            for &(tok, k, g) in &tokens {
+                prop_assert_eq!(table.is_current(&tok), model.get(&k) == Some(&g));
+            }
+        }
     }
 
     /// RNG determinism: identical seeds yield identical streams; forks are
