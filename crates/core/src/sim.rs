@@ -456,6 +456,9 @@ struct RoamRuntime {
     roams: u64,
 }
 
+/// A PPDU on the air: its id, frames and aggregation flag.
+type InFlightPpdu = (TxId, Vec<Frame<NetPacket>>, bool);
+
 /// The assembled simulation.
 pub struct World {
     cfg: ScenarioConfig,
@@ -479,9 +482,9 @@ pub struct World {
     /// roam (see [`World::compress_slot`]).
     compress: Vec<(StationId, CompressSide)>,
     decompress: Vec<DecompressSide>,
-    /// The frames of each station's in-flight PPDU (a station has at
-    /// most one on the air), with its id and aggregation flag.
-    tx_payloads: Vec<Option<(TxId, Vec<Frame<NetPacket>>, bool)>>,
+    /// Each station's in-flight PPDU (a station has at most one on the
+    /// air).
+    tx_payloads: Vec<Option<InFlightPpdu>>,
     /// One backhaul per cell (legacy worlds: exactly one).
     wired: Vec<WiredLink>,
     endpoints: Vec<Endpoint>,

@@ -83,7 +83,9 @@ pub struct Station<M: Msdu> {
     wait_response: Option<Exchange>,
 
     // ---- receive / respond ----
-    reorder: FastMap<StationId, RxReorder<M>>,
+    /// Boxed: each carries a 512-byte duplicate set, and the map's
+    /// buckets outnumber its few entries.
+    reorder: FastMap<StationId, Box<RxReorder<M>>>,
     pending_response: Option<RespPlan>,
     response_in_flight: bool,
 
@@ -437,7 +439,7 @@ impl<M: Msdu> Station<M> {
         let reorder = self
             .reorder
             .entry(src)
-            .or_insert_with(|| RxReorder::new(src, ordered));
+            .or_insert_with(|| Box::new(RxReorder::new(src, ordered)));
         let prev_highest = reorder.highest();
 
         let mut more_data = false;
@@ -495,7 +497,7 @@ impl<M: Msdu> Station<M> {
         let reorder = self
             .reorder
             .entry(src)
-            .or_insert_with(|| RxReorder::new(src, ordered));
+            .or_insert_with(|| Box::new(RxReorder::new(src, ordered)));
         reorder.on_bar(start, actions);
         actions.push(Action::BarReceived { from: src, start });
         self.pending_response = Some(RespPlan {
