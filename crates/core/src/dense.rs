@@ -418,28 +418,23 @@ pub fn run_dense(cfg: &ScenarioConfig, opts: &DenseOptions) -> DenseReport {
         })
         .collect();
 
-    // Each worker claims whole shards in index order and runs each to
-    // its end, epoch by epoch, recording the shard's per-epoch progress.
-    // Shards share nothing, so no worker ever waits on another until
-    // the single join.
+    // Each worker (the calling thread plus `threads - 1` spawned ones)
+    // claims whole shards in index order and runs each to its end, epoch
+    // by epoch, recording the shard's per-epoch progress. Shards share
+    // nothing, so no worker ever waits on another until the single join.
     let threads = opts.threads.max(1).min(shards.len());
-    if threads > 1 {
-        let next = AtomicUsize::new(0);
-        let shards = &shards;
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    while let Some(s) = shards.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        s.lock().expect("shard lock").run(epoch);
-                    }
-                });
-            }
-        });
-    } else {
-        for s in &shards {
+    let next = AtomicUsize::new(0);
+    let work = || {
+        while let Some(s) = shards.get(next.fetch_add(1, Ordering::Relaxed)) {
             s.lock().expect("shard lock").run(epoch);
         }
-    }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(work);
+        }
+        work();
+    });
     let shards: Vec<Shard> = shards
         .into_iter()
         .map(|s| s.into_inner().expect("shard lock"))
