@@ -3073,6 +3073,50 @@ mod tests {
         assert_eq!(d.flow_of_ip(Ipv4Addr::new(10, 1, 1, 2)), Some(250));
     }
 
+    /// The compress sides follow a roam: after the handoff the old AP's
+    /// pairs miss and the new AP's hit the same two slots.
+    #[test]
+    fn compress_lookup_follows_the_serving_ap() {
+        let mut cfg = ScenarioConfig::builder()
+            .hack(HackMode::MoreData)
+            .bss(vec![
+                BssSpec {
+                    x: 0.0,
+                    y: 0.0,
+                    channel: 1,
+                    n_clients: 1,
+                },
+                BssSpec {
+                    x: 25.0,
+                    y: 0.0,
+                    channel: 6,
+                    n_clients: 0,
+                },
+            ])
+            .duration(SimDuration::from_millis(400))
+            .warmup(SimDuration::from_millis(5))
+            .seed(5)
+            .build();
+        cfg.roam.schedule = vec![crate::scenario::RoamEvent {
+            flow: 0,
+            at: SimDuration::from_millis(100),
+            target_bss: 1,
+        }];
+        let mut w = World::builder(cfg).build();
+        let (ap0, client, ap1) = (StationId(0), StationId(1), StationId(2));
+        assert_eq!(w.compress_slot(client, ap0), Some(0));
+        assert_eq!(w.compress_slot(ap0, client), Some(1));
+        assert_eq!(w.compress_slot(client, ap1), None);
+        assert_eq!(w.compress_slot(ap1, client), None);
+        assert_eq!(w.compress_slot(ap0, ap1), None);
+        w.run_until(SimTime::from_millis(400));
+        assert_eq!(w.roam.as_ref().map(|r| r.roams), Some(1));
+        assert_eq!(w.compress_slot(client, ap0), None);
+        assert_eq!(w.compress_slot(ap0, client), None);
+        assert_eq!(w.compress_slot(client, ap1), Some(0));
+        assert_eq!(w.compress_slot(ap1, client), Some(1));
+    }
+
     /// A legacy cell past 245 clients used to overflow the last address
     /// octet: a panic in debug builds, aliased addresses in release.
     #[test]
