@@ -1,19 +1,19 @@
 //! A fixed, fast hasher for maps whose keys the simulator makes itself.
 //!
 //! std's `HashMap` defaults to SipHash with a per-process random key:
-//! collision-resistant against hostile input, but several times the
-//! cost of a multiply-xor mix on the small integer keys the event loop
-//! looks up per packet (station ids, five-tuples, link pairs). Every
-//! key that reaches a [`FastMap`] is made by the simulator from its own
-//! config, never read from outside input, so there is no adversary to
-//! resist — only the table size to beat. The mix is the one
-//! `hack_rohc::cidmap` uses for its five-tuple map: fold each word in
-//! with a multiply, then run the murmur3 64-bit finalizer so the high
-//! bits (which the table's probe groups use) depend on every input bit.
+//! collision-resistant against hostile input, but far costlier than a
+//! multiply-xor mix on the small integer keys the event loop looks up
+//! per packet (station ids, five-tuples, link pairs). Every key that
+//! reaches a [`FastMap`] is made by the simulator from its own config,
+//! never read from outside input, so there is no adversary to resist —
+//! only the table size to beat. The mix follows `hack_rohc::cidmap`'s
+//! five-tuple hash: fold each word in with a multiply, then run the
+//! murmur3 64-bit finalizer so the high bits (which the table's probe
+//! groups use) depend on every input bit.
 //!
 //! The hasher is unseeded, so a map's iteration order is a pure function
-//! of its insertions. Nothing in the simulator iterates a map whose order
-//! could reach output anyway; lookups are all it does.
+//! of its insertions. Even so, nothing in the simulator iterates a map
+//! in an order that could reach its output.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

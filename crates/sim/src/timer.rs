@@ -34,7 +34,7 @@ macro_rules! int_timer_key {
         }
     )*};
 }
-int_timer_key!(u8, u16, u32, usize);
+int_timer_key!(u8, u32, usize);
 
 /// A handle embedded in a scheduled event identifying one arming of one
 /// logical timer.
